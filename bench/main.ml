@@ -1249,11 +1249,23 @@ let results_json ~mode ~memo ~micro ~metrics ~trace =
              ] );
        ])
 
+(* Sections whose [allocated_bytes] repeat to the byte across smoke
+   runs. Their allocation is gated by [alloc_threshold_pct], not by the
+   threshold meant for noisy wall times. [jobs_scaling] counts only
+   this domain's allocation (see [recorded]), and the chunking of items
+   over workers is a function of the corpus length, so it repeats too.
+   [warm_cache] is left out: its allocation moves by a few bytes from
+   run to run (it works under a fresh temporary file name). *)
+let alloc_exact_sections = [ "perfect_batch"; "streaming_memory"; "jobs_scaling" ]
+
+let alloc_threshold_pct = 1.
+
 (* --compare BASE NEW: a metric regresses when it grows by more than
-   [threshold] percent over the baseline. Only metrics present in both
-   files are compared (sections come and go across PRs); allocation is
-   deterministic, wall time and ns/test are noisy, hence the generous
-   default threshold in CI. *)
+   [threshold] percent over the baseline — or, for the allocation of an
+   [alloc_exact_sections] section, by more than [alloc_threshold_pct].
+   Only metrics present in both files are compared (sections come and
+   go across PRs). Wall time and ns/test are noisy, hence the generous
+   threshold in CI. *)
 let compare_results base_file new_file threshold =
   let base = Perf_json.parse_file base_file in
   let next = Perf_json.parse_file new_file in
@@ -1298,23 +1310,33 @@ let compare_results base_file new_file threshold =
                     if bv = 0. then if nv = 0. then 0. else infinity
                     else 100. *. ((nv /. bv) -. 1.)
                   in
-                  let regressed = pct > threshold in
+                  let limit =
+                    if
+                      String.equal metric "allocated_bytes"
+                      && List.mem name alloc_exact_sections
+                    then alloc_threshold_pct
+                    else threshold
+                  in
+                  let regressed = pct > limit in
                   if regressed then incr regressions;
-                  Printf.printf "%-12s %-34s %-16s %14.1f -> %14.1f  %+7.1f%%%s\n"
-                    kind name metric bv nv pct
+                  Printf.printf "%-12s %-34s %-16s %14.1f -> %14.1f  %+7.1f%% (limit +%.0f%%)%s\n"
+                    kind name metric bv nv pct limit
                     (if regressed then "  REGRESSION" else ""))
              new_metrics)
       new_rows
   in
-  Printf.printf "comparing %s (baseline) vs %s, threshold +%.0f%%\n\n" base_file
-    new_file threshold;
+  Printf.printf
+    "comparing %s (baseline) vs %s, threshold +%.0f%% (allocation of %s: +%.0f%%)\n\n"
+    base_file new_file threshold
+    (String.concat ", " alloc_exact_sections)
+    alloc_threshold_pct;
   compare_group "section" (sections base) (sections next);
   compare_group "microbench" (micro base) (micro next);
   if !regressions > 0 then begin
-    Printf.printf "\n%d metric(s) regressed beyond +%.0f%%\n" !regressions threshold;
+    Printf.printf "\n%d metric(s) regressed beyond their limit\n" !regressions;
     exit 1
   end
-  else Printf.printf "\nno regression beyond +%.0f%%\n" threshold
+  else Printf.printf "\nno regression beyond the limits\n"
 
 (* ------------------------------------------------------------------ *)
 (* entry point                                                         *)
@@ -1373,7 +1395,9 @@ let usage () =
     \  --smoke          reduced profile for CI (trajectory metric,\n\
     \                   memo hit rates, short microbench)\n\
     \  --compare        diff two results files; exit 1 when any shared\n\
-    \                   metric grew more than the threshold (default 50%)";
+    \                   metric grew more than the threshold (default 50%),\n\
+    \                   or the allocation of a section whose allocation\n\
+    \                   is deterministic more than 1%";
   exit 2
 
 let () =

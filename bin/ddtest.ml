@@ -197,8 +197,30 @@ let obs_term =
              JSON to $(docv) on exit (one track per worker domain; load \
              at https://ui.perfetto.dev).")
   in
-  let setup level trace_out =
+  let metrics_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "metrics-out" ] ~docv:"FILE"
+          ~doc:
+            "Write the metrics registry (counters and histograms, as \
+             $(b,ddtest metrics --format json) prints them) to $(docv) on \
+             exit. Out of band, so stdout stays byte-identical.")
+  in
+  let setup level trace_out metrics_out =
     Dda_obs.Log.set_level level;
+    Option.iter
+      (fun path ->
+        (* As for --trace-out: refuse an unwritable path before the work. *)
+        close_out (open_out path);
+        at_exit (fun () ->
+            try
+              Out_channel.with_open_text path (fun oc ->
+                  output_string oc
+                    (Dda_obs.Metrics.to_json_string (Dda_obs.Metrics.snapshot ()));
+                  output_char oc '\n')
+            with Sys_error msg -> Dda_obs.Log.err "metrics: %s" msg))
+      metrics_out;
     match trace_out with
     | None -> ()
     | Some path ->
@@ -222,7 +244,7 @@ let obs_term =
                 dropped
           | exception Sys_error msg -> Dda_obs.Log.err "trace: %s" msg)
   in
-  Term.(const setup $ log_level $ trace_out)
+  Term.(const setup $ log_level $ trace_out $ metrics_out)
 
 (* ------------------------------------------------------------------ *)
 (* analyze                                                             *)
@@ -419,7 +441,7 @@ let batch_cmd =
   in
   let render_json = function
     | Dda_engine.Stream.Analyzed a ->
-      Json_out.to_string
+      Json_out.to_line
         (Json_out.Obj
            ([
               ("file", Json_out.Str a.name);
@@ -433,9 +455,8 @@ let batch_cmd =
            match a.lint with
            | Some l -> [ ("lint", Dda_analysis.Lint.to_json ~file:a.name l) ]
            | None -> []))
-      ^ "\n"
     | Dda_engine.Stream.Quarantined q ->
-      Json_out.to_string
+      Json_out.to_line
         (Json_out.Obj
            [
              ("file", Json_out.Str q.name);
@@ -443,7 +464,6 @@ let batch_cmd =
              ("attempts", Json_out.Int q.attempts);
              ("error", Json_out.Str q.error);
            ])
-      ^ "\n"
   in
   let run_stream ~files ~jobs ~share_memo ~verify ~lint ~retries ~backoff_ms
       ~item_timeout_ms ~config ~format ~journal ~resume ~fuzz ~fuzz_seed
@@ -529,7 +549,7 @@ let batch_cmd =
           registry counters are not resume-invariant — and the summary
           must be byte-identical between a clean and a resumed run. *)
        print_string
-         (Json_out.to_string
+         (Json_out.to_line
             (Json_out.Obj
                ([
                   ("corpus", Json_out.Int summary.Dda_engine.Stream.total);
@@ -552,8 +572,7 @@ let batch_cmd =
                            Json_out.Int summary.Dda_engine.Stream.quarantined
                          );
                        ] );
-                 ]))
-         ^ "\n"));
+                 ]))));
     flush stdout;
     (* The scale CI job greps this line to watch peak memory. *)
     Dda_obs.Log.info
@@ -1915,7 +1934,7 @@ let query_cmd =
        wins, so one exit code summarizes a whole request mix). *)
     let worst = ref 0 in
     let rpc req =
-      output_string oc (Json_out.to_string req ^ "\n");
+      output_string oc (Json_out.to_line req);
       flush oc;
       match input_line ic with
       | line ->

@@ -9,12 +9,6 @@ type edge = {
   exact : bool;
 }
 
-let kind_name = function
-  | Analyzer.Flow -> "flow"
-  | Analyzer.Anti -> "anti"
-  | Analyzer.Output -> "output"
-  | Analyzer.Input -> "input"
-
 (* A conservative verdict has no instance ordering; classify by
    textual order, as {!Analyzer.vector_kind} does for an ambiguous
    leading "*". *)

@@ -34,5 +34,3 @@ val edges : Analyzer.report -> edge list
     never enumerated by the analyzer, so [Input] edges do not occur in
     practice; the classification is total anyway. *)
 
-val kind_name : Analyzer.dep_kind -> string
-(** ["flow" | "anti" | "output" | "input"]. *)

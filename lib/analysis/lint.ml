@@ -54,8 +54,6 @@ let record_metrics summary ~errors ~warnings =
 (* Annotation checking                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let vector_string v = Format.asprintf "%a" Direction.pp_vector v
-
 let iter_string iters =
   Printf.sprintf "(%s)"
     (String.concat ","
@@ -65,7 +63,7 @@ let edge_evidence (b : Summary.blocking) =
   let e = b.edge in
   let vec =
     match e.vector with
-    | Some v -> Printf.sprintf " %s" (vector_string v)
+    | Some v -> Printf.sprintf " %s" (Direction.vector_to_string v)
     | None -> " (conservative)"
   in
   let wit =
@@ -76,7 +74,7 @@ let edge_evidence (b : Summary.blocking) =
     | None -> ""
   in
   Printf.sprintf "carried %s dependence on array '%s'%s%s"
-    (Classify.kind_name e.kind) e.pair.array_name vec wit
+    (Analyzer.dep_kind_name e.kind) e.pair.array_name vec wit
 
 (* One finding per annotated non-DOALL loop: an error when some exact
    evidence establishes a race, else a warning that the annotation is
@@ -242,11 +240,11 @@ let blocking_json (b : Summary.blocking) =
   Json_out.Obj
     ([
        ("array", Json_out.Str e.pair.array_name);
-       ("kind", Json_out.Str (Classify.kind_name e.kind));
+       ("kind", Json_out.Str (Analyzer.dep_kind_name e.kind));
        ("exact", Json_out.Bool e.exact);
      ]
      @ (match e.vector with
-        | Some v -> [ ("vector", Json_out.Str (vector_string v)) ]
+        | Some v -> [ ("vector", Json_out.Str (Direction.vector_to_string v)) ]
         | None -> [])
      @ loc_fields "" e.pair.loc1
      @ loc_fields "2" e.pair.loc2

@@ -68,9 +68,13 @@ type dep_kind =
   | Output
   | Input
 
-let pp_dep_kind fmt k =
-  Format.pp_print_string fmt
-    (match k with Flow -> "flow" | Anti -> "anti" | Output -> "output" | Input -> "input")
+let dep_kind_name = function
+  | Flow -> "flow"
+  | Anti -> "anti"
+  | Output -> "output"
+  | Input -> "input"
+
+let pp_dep_kind fmt k = Format.pp_print_string fmt (dep_kind_name k)
 
 let vector_kind report v =
   (* The leading non-"=" direction says which reference's instance runs
@@ -584,13 +588,50 @@ let fresh_state ?(cancel = fun () -> false) ?cache cfg =
     cancel;
   }
 
+(* Only sites on one array can pair, and under [within_nest_only] only
+   sites that share an outermost loop (or a site with itself). So sites
+   are bucketed by (array, outermost lid; -1 when loop-free or when
+   nests do not matter), and each site is tried only against itself
+   and the later sites of its bucket, in index order. The filter is the
+   all-pairs one and decides every candidate, so a coarser bucket is
+   never wrong; the result is the all-pairs scan's, in the same
+   lexicographic (i, j) order. *)
+module Bucket = Hashtbl.Make (struct
+    type t = string * int
+
+    let equal (a, l) (b, m) = Int.equal l m && String.equal a b
+    let hash (a, l) = Hashtbl.hash a + l
+  end)
+
 let site_pairs cfg sites =
   let arr = Array.of_list sites in
+  let n = Array.length arr in
+  (* [next.(i)]: the index of the next site in [i]'s bucket; [n] after
+     the last. [first] maps a bucket to its earliest index seen so far
+     by this backward scan. *)
+  let next = Array.make n n in
+  let first = Bucket.create 8 in
+  for i = n - 1 downto 0 do
+    let s = arr.(i) in
+    let outer =
+      match s.Affine.loops with
+      | c :: _ when cfg.within_nest_only -> c.Affine.lid
+      | _ -> -1
+    in
+    let key = (s.Affine.array, outer) in
+    match Bucket.find first key with
+    | head ->
+      next.(i) <- !head;
+      head := i
+    | exception Not_found -> Bucket.add first key (ref i)
+  done;
   let out = ref [] in
-  for i = 0 to Array.length arr - 1 do
-    for j = i to Array.length arr - 1 do
-      let s1 = arr.(i) and s2 = arr.(j) in
-      let self = i = j in
+  for i = 0 to n - 1 do
+    let s1 = arr.(i) in
+    let j = ref i in
+    while !j < n do
+      let s2 = arr.(!j) in
+      let self = i = !j in
       if
         String.equal s1.Affine.array s2.Affine.array
         && (s1.role = `Write || s2.role = `Write)
@@ -598,7 +639,8 @@ let site_pairs cfg sites =
         && ((not self) || cfg.directions)
         (* self pairs need direction machinery; skip in plain mode *)
         && ((not cfg.within_nest_only) || self || Affine.common_loops s1 s2 >= 1)
-      then out := (s1, s2) :: !out
+      then out := (s1, s2) :: !out;
+      j := next.(!j)
     done
   done;
   List.rev !out

@@ -87,7 +87,11 @@ type dep_kind =
   | Output  (** write then write *)
   | Input  (** read then read (never produced for tested pairs) *)
 
+val dep_kind_name : dep_kind -> string
+(** ["flow"], ["anti"], ["output"] or ["input"]. *)
+
 val pp_dep_kind : Format.formatter -> dep_kind -> unit
+(** Prints {!dep_kind_name}. *)
 
 val vector_kind : pair_report -> Direction.dir array -> dep_kind
 (** Classify one direction vector of a dependent pair: the source is
@@ -266,7 +270,13 @@ val site_pairs :
     textually ordered pair of same-array references with at least one
     write (self pairs only for writes, and only when [directions] is
     on), filtered by [within_nest_only]. Exposed so the verification
-    layer can replay the analyzer's work pair by pair. *)
+    layer can replay the analyzer's work pair by pair.
+
+    The result is in lexicographic order of the sites' (i, j) positions
+    in the input list, exactly as an all-pairs scan would produce it,
+    but only sites sharing a bucket are compared: the array name, plus
+    the outermost loop id under [within_nest_only]. The cost is linear
+    in the sites plus the sum of squared bucket sizes. *)
 
 val analyze_sites :
   ?config:config ->

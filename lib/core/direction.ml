@@ -6,18 +6,20 @@ type dir =
   | Dgt
   | Dany
 
-let pp_dir fmt d =
-  Format.pp_print_string fmt
-    (match d with Dlt -> "<" | Deq -> "=" | Dgt -> ">" | Dany -> "*")
+let dir_char = function Dlt -> '<' | Deq -> '=' | Dgt -> '>' | Dany -> '*'
 
-let pp_vector fmt v =
-  Format.fprintf fmt "(";
-  Array.iteri
-    (fun i d ->
-       if i > 0 then Format.fprintf fmt ",";
-       pp_dir fmt d)
-    v;
-  Format.fprintf fmt ")"
+let pp_dir fmt d = Format.pp_print_char fmt (dir_char d)
+
+(* "(d1,d2,...)": one byte per direction plus the separators, so the
+   string is sized up front. *)
+let vector_to_string v =
+  let b = Bytes.make (max 1 (2 * Array.length v) + 1) ',' in
+  Bytes.set b 0 '(';
+  Array.iteri (fun i d -> Bytes.set b ((2 * i) + 1) (dir_char d)) v;
+  Bytes.set b (Bytes.length b - 1) ')';
+  Bytes.unsafe_to_string b
+
+let pp_vector fmt v = Format.pp_print_string fmt (vector_to_string v)
 
 type prune = {
   unused : bool;

@@ -29,8 +29,15 @@ type dir =
   | Dgt
   | Dany  (** unrefined ["*"] *)
 
+val dir_char : dir -> char
+(** ['<'], ['='], ['>'] or ['*']. *)
+
+val vector_to_string : dir array -> string
+(** ["(<,=,*)"]: the directions comma-separated in parentheses. *)
+
 val pp_dir : Format.formatter -> dir -> unit
 val pp_vector : Format.formatter -> dir array -> unit
+(** Prints {!vector_to_string}. *)
 
 type prune = {
   unused : bool;

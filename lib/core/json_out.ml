@@ -8,52 +8,82 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string buf "\\\""
-       | '\\' -> Buffer.add_string buf "\\\\"
-       | '\n' -> Buffer.add_string buf "\\n"
-       | '\r' -> Buffer.add_string buf "\\r"
-       | '\t' -> Buffer.add_string buf "\\t"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* Strings are copied in runs: a string with nothing to escape (nearly
+   every one: names, locations, verdicts) is a single blit, and each
+   escape flushes the run before it and is written straight into [buf]. *)
+let rec add_escaped buf s start i =
+  if i = String.length s then Buffer.add_substring buf s start (i - start)
+  else
+    let c = String.unsafe_get s i in
+    if c <> '"' && c <> '\\' && Char.code c >= 0x20 then
+      add_escaped buf s start (i + 1)
+    else begin
+      Buffer.add_substring buf s start (i - start);
+      Buffer.add_char buf '\\';
+      (match c with
+       | '\n' -> Buffer.add_char buf 'n'
+       | '\r' -> Buffer.add_char buf 'r'
+       | '\t' -> Buffer.add_char buf 't'
+       | '"' | '\\' -> Buffer.add_char buf c
+       | c ->
+         Buffer.add_string buf "u00";
+         Buffer.add_char buf "0123456789abcdef".[Char.code c lsr 4];
+         Buffer.add_char buf "0123456789abcdef".[Char.code c land 0xf]);
+      add_escaped buf s (i + 1) (i + 1)
+    end
 
+let add_str buf s =
+  Buffer.add_char buf '"';
+  add_escaped buf s 0 0;
+  Buffer.add_char buf '"'
+
+(* Direct recursion rather than [List.iteri]: no closure per container. *)
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int n -> Buffer.add_string buf (string_of_int n)
-  | Str s ->
-    Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
-    Buffer.add_char buf '"'
-  | List items ->
+  | Str s -> add_str buf s
+  | List [] -> Buffer.add_string buf "[]"
+  | List (item :: items) ->
     Buffer.add_char buf '[';
-    List.iteri
-      (fun i item ->
-         if i > 0 then Buffer.add_char buf ',';
-         write buf item)
-      items;
+    write buf item;
+    write_items buf items;
     Buffer.add_char buf ']'
-  | Obj fields ->
+  | Obj [] -> Buffer.add_string buf "{}"
+  | Obj (field :: fields) ->
     Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-         if i > 0 then Buffer.add_char buf ',';
-         write buf (Str k);
-         Buffer.add_char buf ':';
-         write buf v)
-      fields;
+    write_field buf field;
+    write_fields buf fields;
     Buffer.add_char buf '}'
+
+and write_items buf = function
+  | [] -> ()
+  | item :: items ->
+    Buffer.add_char buf ',';
+    write buf item;
+    write_items buf items
+
+and write_field buf (k, v) =
+  add_str buf k;
+  Buffer.add_char buf ':';
+  write buf v
+
+and write_fields buf = function
+  | [] -> ()
+  | field :: fields ->
+    Buffer.add_char buf ',';
+    write_field buf field;
+    write_fields buf fields
 
 let to_string j =
   let buf = Buffer.create 256 in
   write buf j;
+  Buffer.contents buf
+
+let to_line j =
+  let buf = Buffer.create 256 in
+  write buf j;
+  Buffer.add_char buf '\n';
   Buffer.contents buf
 
 let rec pp fmt = function
@@ -236,9 +266,8 @@ let role = function `Read -> Str "read" | `Write -> Str "write"
 let vector r v =
   Obj
     [
-      ("directions", Str (Format.asprintf "%a" Direction.pp_vector v));
-      ( "kind",
-        Str (Format.asprintf "%a" Analyzer.pp_dep_kind (Analyzer.vector_kind r v)) );
+      ("directions", Str (Direction.vector_to_string v));
+      ("kind", Str (Analyzer.dep_kind_name (Analyzer.vector_kind r v)));
     ]
 
 let outcome (r : Analyzer.pair_report) =

@@ -13,7 +13,13 @@ type t =
   | Obj of (string * t) list
 
 val to_string : t -> string
-(** Compact rendering with correct string escaping. *)
+(** Compact rendering. Strings escape ['"'], ['\\'], ["\n"], ["\r"] and
+    ["\t"] as two-character escapes and every other byte below 0x20 as
+    [\u00XX] (lowercase hex); all other bytes, 0x7f and non-ASCII
+    included, pass through unchanged. *)
+
+val to_line : t -> string
+(** [to_string j ^ "\n"], rendered into one buffer: one JSONL line. *)
 
 val pp : Format.formatter -> t -> unit
 (** Indented rendering. *)

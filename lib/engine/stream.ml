@@ -293,14 +293,13 @@ type jrecord = {
 }
 
 let header_line digest ~verify =
-  Json_out.to_string
+  Json_out.to_line
     (Json_out.Obj
        [
          ("dda_journal", Json_out.Int journal_version);
          ("config", Json_out.Str digest);
          ("verify", Json_out.Bool verify);
        ])
-  ^ "\n"
 
 let record_line ~index ~key out outcome =
   let name, attempts, verrs, stats, error =
@@ -321,7 +320,7 @@ let record_line ~index ~key out outcome =
         None )
     | Quarantined q -> (q.name, q.attempts, 0, None, Some q.error)
   in
-  Json_out.to_string
+  Json_out.to_line
     (Json_out.Obj
        ([
           ("i", Json_out.Int index);
@@ -345,7 +344,6 @@ let record_line ~index ~key out outcome =
           | Some e -> [ ("q", Json_out.Bool true); ("error", Json_out.Str e) ]
           | None -> [])
        @ [ ("out", Json_out.Str out) ]))
-  ^ "\n"
 
 let jfail path reason = failwith (Printf.sprintf "journal %s: %s" path reason)
 

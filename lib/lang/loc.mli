@@ -8,5 +8,8 @@ val dummy : t
 val make : line:int -> col:int -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+(** ["line:col"]. *)
+
+val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}. *)

@@ -85,8 +85,10 @@ let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 (* ------------------------------------------------------------------ *)
 
 (* One JSONL line per request, written when the request's response is
-   known (so latency and verdict flags are real). Log I/O failure is a
-   counter, never an exception: telemetry must not fail a query. *)
+   known (so latency and verdict flags are real) but before it is sent:
+   a client that waits for a reply before its next request then always
+   finds that request's line after the previous one. Log I/O failure is
+   a counter, never an exception: telemetry must not fail a query. *)
 let access_line t ~req ~op ~ok ~ns ~(flags : (string * Json_out.t) list) =
   match t.access with
   | None -> ()
@@ -196,7 +198,7 @@ let write_all fd s =
 (* A failed write means the peer is gone: mark the connection for
    reaping, never kill the server. *)
 let respond conn json =
-  let line = Json_out.to_string json ^ "\n" in
+  let line = Json_out.to_line json in
   Mutex.lock conn.wlock;
   (try
      write_all conn.fd line;
@@ -344,11 +346,11 @@ let analyze_task t conn req id ~rid ~t0 () =
           a_ok = false;
           a_flags = [ ("quarantined", Json_out.Bool true) ] }
   in
+  finish_request t ~req:rid ~op:"analyze" ~ok:outcome.a_ok ~t0
+    ~flags:outcome.a_flags;
   (match outcome.json with
    | Ok json -> respond conn json
    | Error (msg, extra) -> respond conn (error_response id msg extra));
-  finish_request t ~req:rid ~op:"analyze" ~ok:outcome.a_ok ~t0
-    ~flags:outcome.a_flags;
   Mutex.lock t.lock;
   t.in_flight <- t.in_flight - 1;
   conn.pending <- conn.pending - 1;
@@ -405,22 +407,23 @@ let handle_line t conn line =
   t.next_req <- t.next_req + 1;
   let rid = t.next_req in
   Mutex.unlock t.lock;
-  let finish = finish_request t ~req:rid ~t0 in
+  (* Log, then answer: see [access_line]. *)
+  let reply ~op ~ok ?(flags = []) json =
+    finish_request t ~req:rid ~t0 ~op ~ok ~flags;
+    respond conn json
+  in
   match Json_out.of_string line with
   | Error msg ->
-      respond conn (error_response Json_out.Null ("bad request: " ^ msg) []);
-      finish ~op:"invalid" ~ok:false ~flags:[]
+      reply ~op:"invalid" ~ok:false
+        (error_response Json_out.Null ("bad request: " ^ msg) [])
   | Ok req -> (
       let id = request_id req in
       match Json_out.member "op" req with
       | Some (Json_out.Str "ping") ->
-          respond conn
+          reply ~op:"ping" ~ok:true
             (Json_out.Obj
-               [ ("id", id); ("ok", Json_out.Bool true); ("pong", Json_out.Bool true) ]);
-          finish ~op:"ping" ~ok:true ~flags:[]
-      | Some (Json_out.Str "status") ->
-          respond conn (status_json t);
-          finish ~op:"status" ~ok:true ~flags:[]
+               [ ("id", id); ("ok", Json_out.Bool true); ("pong", Json_out.Bool true) ])
+      | Some (Json_out.Str "status") -> reply ~op:"status" ~ok:true (status_json t)
       | Some (Json_out.Str "analyze") ->
           (* Shed before queueing: the queue is bounded by refusal, not
              by blocking the accept loop. *)
@@ -440,21 +443,20 @@ let handle_line t conn line =
                  (analyze_task t conn req id ~rid ~t0))
           else begin
             Metrics.incr m_shed;
-            respond conn
+            reply ~op:"analyze" ~ok:false
+              ~flags:[ ("shed", Json_out.Bool true) ]
               (error_response id
                  (Printf.sprintf
                     "server overloaded: %d request(s) outstanding (limit %d)"
                     depth t.cfg.queue_limit)
-                 [ ("shed", Json_out.Bool true) ]);
-            finish ~op:"analyze" ~ok:false
-              ~flags:[ ("shed", Json_out.Bool true) ]
+                 [ ("shed", Json_out.Bool true) ])
           end
       | Some (Json_out.Str op) ->
-          respond conn (error_response id ("unknown op: " ^ op) []);
-          finish ~op:"invalid" ~ok:false ~flags:[]
+          reply ~op:"invalid" ~ok:false
+            (error_response id ("unknown op: " ^ op) [])
       | _ ->
-          respond conn (error_response id "missing \"op\"" []);
-          finish ~op:"invalid" ~ok:false ~flags:[])
+          reply ~op:"invalid" ~ok:false
+            (error_response id "missing \"op\"" []))
 
 (* ------------------------------------------------------------------ *)
 (* The accept/read loop                                                *)

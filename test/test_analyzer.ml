@@ -539,6 +539,87 @@ let test_interleaved_session_stats () =
   Alcotest.(check int) "lifetime gcd hits equal across sessions"
     gcd_stats.Memo_table.hits gcd2.Memo_table.hits
 
+(* ------------------------------------------------------------------ *)
+(* Pair enumeration: bucketed equals all-pairs                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The all-pairs reference: every (i, j) with i <= j, in lexicographic
+   order, through the same filter {!Analyzer.site_pairs} applies. *)
+let naive_site_pairs (cfg : Analyzer.config) sites =
+  let arr = Array.of_list sites in
+  let out = ref [] in
+  for i = 0 to Array.length arr - 1 do
+    for j = i to Array.length arr - 1 do
+      let s1 = arr.(i) and s2 = arr.(j) in
+      let self = i = j in
+      if
+        String.equal s1.Affine.array s2.Affine.array
+        && (s1.role = `Write || s2.role = `Write)
+        && ((not self) || s1.role = `Write)
+        && ((not self) || cfg.directions)
+        && ((not cfg.within_nest_only) || self || Affine.common_loops s1 s2 >= 1)
+      then out := (s1, s2) :: !out
+    done
+  done;
+  List.rev !out
+
+(* The same site records, physically, in the same order. *)
+let same_pairs = List.equal (fun (a, b) (c, d) -> a == c && b == d)
+
+(* Loop-free statements over the fuzzer's arrays: sites with no
+   enclosing loop, spliced between the nests. *)
+let loose_statements =
+  [| "a[1] = a[2] + 1\n"; "b[3] = a[1]\n"; "u[2] = u[2] + c[1]\n";
+     "a[4] = 2 * b[1]\n"; "c[1] = 5\n" |]
+
+(* A corpus item: one to three fuzzed programs ([small] or [mixed]),
+   with loop-free statements in between. *)
+let gen_pairs_source =
+  let open QCheck.Gen in
+  let piece =
+    map3
+      (fun profile seed index -> Dda_perfect.Fuzz.program profile ~seed ~index)
+      (oneofl Dda_perfect.Fuzz.all_profiles)
+      (int_bound 10_000) (int_bound 1_000)
+  in
+  let loose = map (String.concat "") (list_size (int_bound 3) (oneofa loose_statements)) in
+  map (String.concat "")
+    (list_size (int_range 1 3) (map2 ( ^ ) loose piece))
+
+let prop_site_pairs_bucketed =
+  QCheck.Test.make ~name:"bucketed site pairs equal the all-pairs scan" ~count:200
+    (QCheck.make ~print:Fun.id gen_pairs_source)
+    (fun src ->
+      let program = Dda_passes.Pipeline.run (parse src) in
+      List.for_all
+        (fun (within_nest_only, directions, symbolic) ->
+          let cfg =
+            { Analyzer.default_config with within_nest_only; directions; symbolic }
+          in
+          let sites = Affine.extract ~symbolic program in
+          same_pairs (Analyzer.site_pairs cfg sites) (naive_site_pairs cfg sites)
+          || QCheck.Test.fail_reportf "pair lists differ (within_nest_only=%b, directions=%b)"
+               within_nest_only directions)
+        [ (true, true, true); (true, false, true); (false, true, true);
+          (false, false, false) ])
+
+(* Every PERFECT program under all four combinations of the two flags
+   that shape the filter. *)
+let test_site_pairs_perfect () =
+  List.iter
+    (fun spec ->
+      let src = Dda_perfect.Programs.source spec in
+      let sites = Affine.extract (Dda_passes.Pipeline.run (parse src)) in
+      List.iter
+        (fun (within_nest_only, directions) ->
+          let cfg = { Analyzer.default_config with within_nest_only; directions } in
+          let got = Analyzer.site_pairs cfg sites
+          and want = naive_site_pairs cfg sites in
+          Alcotest.(check int) "pair count" (List.length want) (List.length got);
+          Alcotest.(check bool) "same pairs, same order" true (same_pairs got want))
+        [ (true, true); (true, false); (false, true); (false, false) ])
+    Dda_perfect.Programs.all
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "analyzer"
@@ -577,5 +658,11 @@ let () =
           qt prop_separable_exact;
           qt prop_symbolic_sound_for_all_inputs;
           qt prop_plain_verdict_matches_oracle;
+        ] );
+      ( "pair-enumeration",
+        [
+          qt prop_site_pairs_bucketed;
+          Alcotest.test_case "PERFECT: bucketed equals all-pairs" `Quick
+            test_site_pairs_perfect;
         ] );
     ]

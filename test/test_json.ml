@@ -69,6 +69,98 @@ let test_pp_reparses_as_same_compact () =
   Alcotest.(check string) "same modulo whitespace" (strip (to_string j))
     (strip pretty)
 
+(* The string escaper as it was before the single-pass writer: one
+   fresh buffer per string, one case per byte. The writer must match it
+   byte for byte. *)
+let reference_escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+       match c with
+       | '"' -> Buffer.add_string buf "\\\""
+       | '\\' -> Buffer.add_string buf "\\\\"
+       | '\n' -> Buffer.add_string buf "\\n"
+       | '\r' -> Buffer.add_string buf "\\r"
+       | '\t' -> Buffer.add_string buf "\\t"
+       | c when Char.code c < 0x20 ->
+         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+       | c -> Buffer.add_char buf c)
+    s;
+  "\"" ^ Buffer.contents buf ^ "\""
+
+let check_string_rendering s =
+  let out = to_string (Str s) in
+  String.equal out (reference_escape s)
+  && (match of_string out with Ok (Str s') -> String.equal s s' | _ -> false)
+  && String.equal (to_line (Str s)) (out ^ "\n")
+
+let test_every_byte () =
+  let all = String.init 256 Char.chr in
+  Alcotest.(check string) "all 256 bytes" (reference_escape all) (to_string (Str all));
+  Alcotest.(check bool) "round-trips" true (check_string_rendering all);
+  Alcotest.(check bool) "empty" true (check_string_rendering "")
+
+(* [Gen.char] draws from the full 0x00-0xff range; the frequency mix
+   keeps escapable runs next to plain ones, and at string ends. *)
+let prop_escape_matches_reference =
+  let gen_char =
+    QCheck.Gen.(
+      frequency
+        [ (4, char); (2, oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\000'; '\031'; '\127' ]);
+          (4, char_range 'a' 'z') ])
+  in
+  QCheck.Test.make ~name:"string rendering equals the reference escaper" ~count:2000
+    (QCheck.make ~print:String.escaped (QCheck.Gen.string_size ~gen:gen_char (QCheck.Gen.int_bound 40)))
+    check_string_rendering
+
+let test_to_line () =
+  let j = Obj [ ("a", List [ Int 1; Str "x\ny" ]); ("b", Null) ] in
+  Alcotest.(check string) "to_line is to_string plus newline" (to_string j ^ "\n")
+    (to_line j)
+
+(* The leaf printers the renderer now calls directly, against the Format
+   printers they replaced. *)
+let test_leaf_printers () =
+  List.iter
+    (fun (line, col) ->
+       let l = Dda_lang.Loc.make ~line ~col in
+       Alcotest.(check string) "loc" (Format.asprintf "%d:%d" line col)
+         (Dda_lang.Loc.to_string l);
+       Alcotest.(check string) "Loc.pp" (Dda_lang.Loc.to_string l)
+         (Format.asprintf "%a" Dda_lang.Loc.pp l))
+    [ (0, 0); (1, 1); (12, 345); (99999, 7); (-1, 3); (max_int, min_int) ];
+  let dirs = [ Direction.Dlt; Direction.Deq; Direction.Dgt; Direction.Dany ] in
+  let rec vectors n =
+    if n = 0 then [ [] ]
+    else List.concat_map (fun v -> List.map (fun d -> d :: v) dirs) (vectors (n - 1))
+  in
+  let format_vector v =
+    Format.asprintf "(%a)"
+      (Format.pp_print_list
+         ~pp_sep:(fun fmt () -> Format.pp_print_char fmt ',')
+         Direction.pp_dir)
+      v
+  in
+  List.iter
+    (fun n ->
+       List.iter
+         (fun v ->
+            let a = Array.of_list v in
+            Alcotest.(check string) "vector" (format_vector v) (Direction.vector_to_string a);
+            Alcotest.(check string) "Direction.pp_vector" (Direction.vector_to_string a)
+              (Format.asprintf "%a" Direction.pp_vector a))
+         (vectors n))
+    [ 0; 1; 2; 3; 4 ];
+  Alcotest.(check (list string)) "directions" [ "<"; "="; ">"; "*" ]
+    (List.map (Format.asprintf "%a" Direction.pp_dir) dirs);
+  List.iter
+    (fun (k, name) ->
+       Alcotest.(check string) "dep kind" name (Analyzer.dep_kind_name k);
+       Alcotest.(check string) "Analyzer.pp_dep_kind" name
+         (Format.asprintf "%a" Analyzer.pp_dep_kind k))
+    [ (Analyzer.Flow, "flow"); (Analyzer.Anti, "anti"); (Analyzer.Output, "output");
+      (Analyzer.Input, "input") ]
+
 let () =
   Alcotest.run "json"
     [
@@ -78,6 +170,10 @@ let () =
           Alcotest.test_case "escaping" `Quick test_escaping;
           Alcotest.test_case "composite" `Quick test_composite;
           Alcotest.test_case "pp vs compact" `Quick test_pp_reparses_as_same_compact;
+          Alcotest.test_case "every byte" `Quick test_every_byte;
+          QCheck_alcotest.to_alcotest prop_escape_matches_reference;
+          Alcotest.test_case "to_line" `Quick test_to_line;
+          Alcotest.test_case "leaf printers" `Quick test_leaf_printers;
         ] );
       ("report", [ Alcotest.test_case "shape" `Quick test_report_shape ]);
     ]

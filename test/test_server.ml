@@ -489,8 +489,9 @@ let test_access_log_one_line_per_request () =
           ignore (input_line ic))
         requests;
       Unix.close fd;
-      (* Drain before reading: every response precedes its log line by
-         a hair, and the drain barrier orders all of them. *)
+      (* Each line is written before its response is sent, so reading
+         every reply has already ordered the lines; the drain closes
+         the log before it is read. *)
       Server.drain server;
       Domain.join d;
       let lines = ref [] in
