@@ -812,7 +812,8 @@ let sanity () =
 
 (* (name, wall_ms, allocated_bytes), newest first. [Gc.allocated_bytes]
    is per-domain, so sections that fan out to worker domains
-   under-report; the trajectory metric below is deliberately run
+   under-report (a [--jobs 1] engine run spawns no worker and is
+   counted whole); the trajectory metric below is deliberately run
    sequentially on this domain. *)
 let recorded : (string * float * float) list ref = ref []
 
@@ -1252,8 +1253,10 @@ let results_json ~mode ~memo ~micro ~metrics ~trace =
 (* Sections whose [allocated_bytes] repeat to the byte across smoke
    runs. Their allocation is gated by [alloc_threshold_pct], not by the
    threshold meant for noisy wall times. [jobs_scaling] counts only
-   this domain's allocation (see [recorded]), and the chunking of items
-   over workers is a function of the corpus length, so it repeats too.
+   this domain's allocation (see [recorded]): the whole of its
+   [jobs = 1] runs, which analyze on this domain, and the merging of
+   the others. The chunking of items over workers is a function of the
+   corpus length, so it repeats too.
    [warm_cache] is left out: its allocation moves by a few bytes from
    run to run (it works under a fresh temporary file name). *)
 let alloc_exact_sections = [ "perfect_batch"; "streaming_memory"; "jobs_scaling" ]

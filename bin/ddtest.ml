@@ -441,20 +441,18 @@ let batch_cmd =
   in
   let render_json = function
     | Dda_engine.Stream.Analyzed a ->
-      Json_out.to_line
-        (Json_out.Obj
-           ([
-              ("file", Json_out.Str a.name);
-              ("report", Json_out.report a.report);
-            ]
-           @ (match a.verification with
-              | Some s ->
-                [ ("verification", Dda_check.Verify.to_json ~file:a.name s) ]
-              | None -> [])
-           @
-           match a.lint with
-           | Some l -> [ ("lint", Dda_analysis.Lint.to_json ~file:a.name l) ]
-           | None -> []))
+      (* The report goes straight into the line buffer, no tree. *)
+      Json_out.item_line ~file:a.name
+        ~extra:
+          ((match a.verification with
+            | Some s ->
+              [ ("verification", Dda_check.Verify.to_json ~file:a.name s) ]
+            | None -> [])
+          @
+          match a.lint with
+          | Some l -> [ ("lint", Dda_analysis.Lint.to_json ~file:a.name l) ]
+          | None -> [])
+        a.report
     | Dda_engine.Stream.Quarantined q ->
       Json_out.to_line
         (Json_out.Obj
@@ -754,7 +752,8 @@ let batch_cmd =
   let jobs_arg =
     Arg.(
       value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N" ~doc:"Number of worker domains.")
+      & info [ "jobs"; "j" ] ~docv:"N"
+          ~doc:"Analysis domains; 1 runs on the calling domain.")
   in
   let share_memo_arg =
     Arg.(

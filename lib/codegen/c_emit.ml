@@ -185,6 +185,46 @@ and emit_aref buf arrays name subs =
        Buffer.add_string buf (Printf.sprintf " - (%dLL)]" off))
     subs
 
+(* The scalars a parallel loop's iterations write besides its own
+   variable: the variables of the loops nested in it, outermost first.
+   Each thread needs its own copy of them, and OpenMP's lastprivate
+   copy-out gives the sequential final value only when every iteration
+   assigns each one. So the nested loops must run in every iteration —
+   constant, non-empty ranges, not under an [if] — and the body may
+   assign no other scalar. [None] when that does not hold: the loop
+   then runs serially. *)
+let private_scalars (f : Ast.for_loop) =
+  let rec assigns_scalar stmts =
+    List.exists
+      (fun (s : Ast.stmt) ->
+        match s.sdesc with
+        | Ast.Assign (Ast.Larr _, _) -> false
+        | Ast.Assign (Ast.Lvar _, _) | Ast.Read _ | Ast.For _ -> true
+        | Ast.If (_, t, e) -> assigns_scalar t || assigns_scalar e)
+      stmts
+  in
+  let const = Dda_passes.Expr_util.const_value in
+  let rec stmts acc = function
+    | [] -> Some acc
+    | (s : Ast.stmt) :: rest -> (
+      match s.sdesc with
+      | Ast.Assign (Ast.Larr _, _) -> stmts acc rest
+      | Ast.Assign (Ast.Lvar _, _) | Ast.Read _ -> None
+      | Ast.If (_, t, e) ->
+        if assigns_scalar t || assigns_scalar e then None else stmts acc rest
+      | Ast.For g -> (
+        let step = match g.step with None -> Some 1 | Some e -> const e in
+        match (const g.lo, const g.hi, step) with
+        | Some lo, Some hi, Some step
+          when ((step > 0 && lo <= hi) || (step < 0 && lo >= hi))
+               && not (String.equal g.var f.var) ->
+          Option.bind
+            (stmts (if List.mem g.var acc then acc else acc @ [ g.var ]) g.body)
+            (fun acc -> stmts acc rest)
+        | _ -> None))
+  in
+  stmts [] f.body
+
 let relop_c = function
   | Ast.Req -> "=="
   | Ast.Rne -> "!="
@@ -269,8 +309,12 @@ let emit ?(parallel = []) prog =
         emit_expr buf arrays f.hi;
         out ";\n";
         (match List.assoc_opt lid parallel with
-         | Some true ->
-           out "%s  #pragma omp parallel for lastprivate(v_%s)\n" pad f.var
+         | Some true -> (
+           match private_scalars f with
+           | Some inner ->
+             out "%s  #pragma omp parallel for lastprivate(%s)\n" pad
+               (String.concat ", " (List.map (( ^ ) "v_") (f.var :: inner)))
+           | None -> ())
          | Some false | None -> ());
         out "%s  for (ll %s = %s; %s %s %s; %s += %d) {\n" pad c lo c
           (if stepc > 0 then "<=" else ">=")

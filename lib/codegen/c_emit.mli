@@ -22,7 +22,13 @@ val emit :
   (string, string) result
 (** [parallel] maps pre-order loop numbers (as {!Dda_core.Affine}
     assigns them) to parallelizability; loops marked [true] receive the
-    OpenMP pragma. The generated [main] executes the program and prints
+    OpenMP pragma, with their own variable and the variables of the
+    loops nested in them [lastprivate] (every thread iterates its own
+    copies). A loop whose privatized copies could not carry the
+    sequential final values out — a nested loop that may not run in
+    every iteration (a non-constant or empty range, or under an [if]),
+    or a scalar assignment in the body — is emitted without the pragma
+    and runs serially. The generated [main] executes the program and prints
     every scalar as [name=value] (sorted) and every non-zero array cell
     as [name[i][j]=value] (name-major, index-lexicographic) — the same
     order {!state_dump} produces. *)

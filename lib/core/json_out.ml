@@ -37,11 +37,25 @@ let add_str buf s =
   add_escaped buf s 0 0;
   Buffer.add_char buf '"'
 
+(* Decimal digits straight into [buf], without [string_of_int]'s
+   intermediate string. *)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int buf n =
+  if n >= 0 then add_digits buf n
+  else if n = min_int then Buffer.add_string buf (string_of_int n)
+  else begin
+    Buffer.add_char buf '-';
+    add_digits buf (-n)
+  end
+
 (* Direct recursion rather than [List.iteri]: no closure per container. *)
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int n -> Buffer.add_string buf (string_of_int n)
+  | Int n -> add_int buf n
   | Str s -> add_str buf s
   | List [] -> Buffer.add_string buf "[]"
   | List (item :: items) ->
@@ -75,16 +89,28 @@ and write_fields buf = function
     write_field buf field;
     write_fields buf fields
 
-let to_string j =
-  let buf = Buffer.create 256 in
-  write buf j;
-  Buffer.contents buf
+(* One render buffer per domain, reused from string to string: a
+   rendering costs its final string and nothing else once the buffer
+   has grown to the largest one. A buffer a freak value grew past 1 MiB
+   is given back rather than kept for the rest of the run. Renderings
+   do not nest and the program runs no systhreads, so one buffer per
+   domain is enough. *)
+let render_buffer = Domain.DLS.new_key (fun () -> Buffer.create 4096)
+
+let render f =
+  let buf = Domain.DLS.get render_buffer in
+  Buffer.clear buf;
+  f buf;
+  let s = Buffer.contents buf in
+  if Buffer.length buf > 1 lsl 20 then Buffer.reset buf;
+  s
+
+let to_string j = render (fun buf -> write buf j)
 
 let to_line j =
-  let buf = Buffer.create 256 in
-  write buf j;
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
+  render (fun buf ->
+      write buf j;
+      Buffer.add_char buf '\n')
 
 let rec pp fmt = function
   | (Null | Bool _ | Int _ | Str _) as j -> Format.pp_print_string fmt (to_string j)
@@ -260,111 +286,300 @@ let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
 
-let loc (l : Loc.t) = Str (Loc.to_string l)
-let role = function `Read -> Str "read" | `Write -> Str "write"
+(* ------------------------------------------------------------------ *)
+(* The report schema, written once against a sink                      *)
+(* ------------------------------------------------------------------ *)
 
-let vector r v =
-  Obj
+(* The pair, outcome, vector and stats objects are described once, as
+   static tables of fields: a key, whether the field is present for a
+   given value, and how to render its value into a sink. [Tree_sink]
+   turns a table into an [Obj] (fields in table order, no reversal),
+   [Buffer_sink] writes it straight out as compact JSON — so the two
+   renderings cannot drift apart. *)
+type ('sink, 'v, 'a) field = {
+  key : string;
+  present : 'a -> bool;
+  value : 'sink -> 'a -> 'v;
+}
+
+(* A [Tested] outcome's fields, out of the inline record so the field
+   table can take them as one value. *)
+type tested = {
+  pair : Analyzer.pair_report;
+  dependent : bool;
+  unknown : bool;
+  degraded : Budget.reason option;
+  decided_by : Cascade.test option;
+  directions : Direction.dir array list;
+  distance : Dda_numeric.Zint.t array option;
+}
+
+module type SINK = sig
+  type t
+  type v
+
+  val bool : t -> bool -> v
+  val int : t -> int -> v
+  val str : t -> string -> v
+
+  val loc : t -> Loc.t -> v
+  (** The string ["line:col"]. *)
+
+  val list : t -> (t -> 'a -> v) -> 'a list -> v
+  val obj : t -> (t, v, 'a) field list -> 'a -> v
+end
+
+module Schema (S : SINK) = struct
+  let always _ = true
+  let field key value = { key; present = always; value }
+  let str key get = field key (fun o x -> S.str o (get x))
+  let int key get = field key (fun o x -> S.int o (get x))
+
+  let role o = function `Read -> S.str o "read" | `Write -> S.str o "write"
+
+  let vector_fields =
     [
-      ("directions", Str (Direction.vector_to_string v));
-      ("kind", Str (Analyzer.dep_kind_name (Analyzer.vector_kind r v)));
+      str "directions" (fun (_, v) -> Direction.vector_to_string v);
+      str "kind" (fun (r, v) -> Analyzer.dep_kind_name (Analyzer.vector_kind r v));
     ]
 
-let outcome (r : Analyzer.pair_report) =
-  match r.outcome with
-  | Analyzer.Constant d ->
-    Obj [ ("verdict", Str (if d then "dependent" else "independent"));
-          ("how", Str "constant-subscripts") ]
-  | Analyzer.Gcd_independent ->
-    Obj [ ("verdict", Str "independent"); ("how", Str "extended-gcd") ]
-  | Analyzer.Assumed_dependent ->
-    Obj [ ("verdict", Str "dependent"); ("how", Str "assumed-not-affine") ]
-  | Analyzer.Tested t ->
-    Obj
-      ([
-         ("verdict", Str (if t.dependent then "dependent" else "independent"));
-         ("how", Str "tested");
-         ("exact", Bool (not t.unknown));
-       ]
-       @ (match t.degraded with
-          | Some reason -> [ ("degraded", Str (Budget.reason_name reason)) ]
-          | None -> [])
-       @ (match t.decided_by with
-          | Some test -> [ ("decided_by", Str (Cascade.test_name test)) ]
-          | None -> [])
-       @ (if t.directions = [] then []
-          else [ ("vectors", List (List.map (vector r) t.directions)) ])
-       @
-       match t.distance with
-       | Some d ->
-         [
-           ( "distance",
-             List
-               (Array.to_list
-                  (Array.map
-                     (fun z ->
-                        match Dda_numeric.Zint.to_int z with
-                        | Some n -> Int n
-                        | None -> Str (Dda_numeric.Zint.to_string z))
-                     d)) );
-         ]
-       | None -> [])
+  let distance o d =
+    S.list o
+      (fun o z ->
+        match Dda_numeric.Zint.to_int z with
+        | Some n -> S.int o n
+        | None -> S.str o (Dda_numeric.Zint.to_string z))
+      (Array.to_list d)
 
-let pair (r : Analyzer.pair_report) =
-  Obj
+  let verdict dependent = if dependent then "dependent" else "independent"
+
+  let decided how verdict_of =
+    [ str "verdict" (fun x -> verdict (verdict_of x)); str "how" (fun _ -> how) ]
+
+  let tested_fields =
+    decided "tested" (fun t -> t.dependent)
+    @ [
+        field "exact" (fun o t -> S.bool o (not t.unknown));
+        {
+          key = "degraded";
+          present = (fun t -> t.degraded <> None);
+          value = (fun o t -> S.str o (Budget.reason_name (Option.get t.degraded)));
+        };
+        {
+          key = "decided_by";
+          present = (fun t -> t.decided_by <> None);
+          value = (fun o t -> S.str o (Cascade.test_name (Option.get t.decided_by)));
+        };
+        {
+          key = "vectors";
+          present = (fun t -> t.directions <> []);
+          value =
+            (fun o t ->
+              S.list o (fun o v -> S.obj o vector_fields (t.pair, v)) t.directions);
+        };
+        {
+          key = "distance";
+          present = (fun t -> t.distance <> None);
+          value = (fun o t -> distance o (Option.get t.distance));
+        };
+      ]
+
+  let constant_fields = decided "constant-subscripts" Fun.id
+  let gcd_fields = decided "extended-gcd" (fun () -> false)
+  let assumed_fields = decided "assumed-not-affine" (fun () -> true)
+
+  let outcome o (r : Analyzer.pair_report) =
+    match r.outcome with
+    | Analyzer.Constant d -> S.obj o constant_fields d
+    | Analyzer.Gcd_independent -> S.obj o gcd_fields ()
+    | Analyzer.Assumed_dependent -> S.obj o assumed_fields ()
+    | Analyzer.Tested t ->
+      S.obj o tested_fields
+        {
+          pair = r;
+          dependent = t.dependent;
+          unknown = t.unknown;
+          degraded = t.degraded;
+          decided_by = t.decided_by;
+          directions = t.directions;
+          distance = t.distance;
+        }
+
+  let ref1_fields =
     [
-      ("array", Str r.array_name);
-      ("ref1", Obj [ ("loc", loc r.loc1); ("role", role r.role1) ]);
-      ("ref2", Obj [ ("loc", loc r.loc2); ("role", role r.role2) ]);
-      ("self", Bool r.self_pair);
-      ("common_loops", Int r.ncommon);
-      ("outcome", outcome r);
+      field "loc" (fun o (r : Analyzer.pair_report) -> S.loc o r.loc1);
+      field "role" (fun o (r : Analyzer.pair_report) -> role o r.role1);
     ]
 
-let stats (s : Analyzer.stats) =
-  Obj
-    ([
-      ("pairs", Int s.pairs);
-      ("constant_cases", Int s.constant_cases);
-      ("gcd_independent", Int s.gcd_independent);
-      ("assumed_dependent", Int s.assumed);
-      ( "plain_tests",
-        Obj
-          [
-            ("svpc", Int s.plain_by_test.(0));
-            ("acyclic", Int s.plain_by_test.(1));
-            ("loop_residue", Int s.plain_by_test.(2));
-            ("fourier", Int s.plain_by_test.(3));
-          ] );
-      ( "direction_tests",
-        Obj
-          [
-            ("svpc", Int s.dir_counts.Direction.by_test.(0));
-            ("acyclic", Int s.dir_counts.Direction.by_test.(1));
-            ("loop_residue", Int s.dir_counts.Direction.by_test.(2));
-            ("fourier", Int s.dir_counts.Direction.by_test.(3));
-          ] );
-      ( "memo",
-        Obj
-          [
-            ("gcd_lookups", Int s.memo_lookups_nobounds);
-            ("gcd_hits", Int s.memo_hits_nobounds);
-            ("gcd_unique", Int s.memo_unique_nobounds);
-            ("full_lookups", Int s.memo_lookups_full);
-            ("full_hits", Int s.memo_hits_full);
-            ("full_unique", Int s.memo_unique_full);
-          ] );
-      ("independent_pairs", Int s.independent_pairs);
-      ("dependent_pairs", Int s.dependent_pairs);
+  let ref2_fields =
+    [
+      field "loc" (fun o (r : Analyzer.pair_report) -> S.loc o r.loc2);
+      field "role" (fun o (r : Analyzer.pair_report) -> role o r.role2);
     ]
-    (* only when something degraded: keeps the output stable for the
-       (overwhelmingly common) exact runs *)
-    @
-    if s.degraded_pairs = 0 then []
-    else [ ("degraded_pairs", Int s.degraded_pairs) ])
 
-let report (r : Analyzer.report) =
-  Obj [ ("pairs", List (List.map pair r.pair_reports)); ("stats", stats r.stats) ]
+  let pair_fields =
+    [
+      str "array" (fun (r : Analyzer.pair_report) -> r.array_name);
+      field "ref1" (fun o r -> S.obj o ref1_fields r);
+      field "ref2" (fun o r -> S.obj o ref2_fields r);
+      field "self" (fun o (r : Analyzer.pair_report) -> S.bool o r.self_pair);
+      int "common_loops" (fun (r : Analyzer.pair_report) -> r.ncommon);
+      field "outcome" outcome;
+    ]
+
+  let pair o r = S.obj o pair_fields r
+
+  let by_test =
+    [
+      int "svpc" (fun a -> a.(0));
+      int "acyclic" (fun a -> a.(1));
+      int "loop_residue" (fun a -> a.(2));
+      int "fourier" (fun a -> a.(3));
+    ]
+
+  let memo_fields =
+    [
+      int "gcd_lookups" (fun (s : Analyzer.stats) -> s.memo_lookups_nobounds);
+      int "gcd_hits" (fun (s : Analyzer.stats) -> s.memo_hits_nobounds);
+      int "gcd_unique" (fun (s : Analyzer.stats) -> s.memo_unique_nobounds);
+      int "full_lookups" (fun (s : Analyzer.stats) -> s.memo_lookups_full);
+      int "full_hits" (fun (s : Analyzer.stats) -> s.memo_hits_full);
+      int "full_unique" (fun (s : Analyzer.stats) -> s.memo_unique_full);
+    ]
+
+  let stats_fields =
+    [
+      int "pairs" (fun (s : Analyzer.stats) -> s.pairs);
+      int "constant_cases" (fun (s : Analyzer.stats) -> s.constant_cases);
+      int "gcd_independent" (fun (s : Analyzer.stats) -> s.gcd_independent);
+      int "assumed_dependent" (fun (s : Analyzer.stats) -> s.assumed);
+      field "plain_tests" (fun o (s : Analyzer.stats) ->
+          S.obj o by_test s.plain_by_test);
+      field "direction_tests" (fun o (s : Analyzer.stats) ->
+          S.obj o by_test s.dir_counts.Direction.by_test);
+      field "memo" (fun o (s : Analyzer.stats) -> S.obj o memo_fields s);
+      int "independent_pairs" (fun (s : Analyzer.stats) -> s.independent_pairs);
+      int "dependent_pairs" (fun (s : Analyzer.stats) -> s.dependent_pairs);
+      (* only when something degraded: keeps the output stable for the
+         (overwhelmingly common) exact runs *)
+      {
+        key = "degraded_pairs";
+        present = (fun (s : Analyzer.stats) -> s.degraded_pairs <> 0);
+        value = (fun o (s : Analyzer.stats) -> S.int o s.degraded_pairs);
+      };
+    ]
+
+  let stats o s = S.obj o stats_fields s
+
+  let report_fields =
+    [
+      field "pairs" (fun o (r : Analyzer.report) -> S.list o pair r.pair_reports);
+      field "stats" (fun o (r : Analyzer.report) -> stats o r.stats);
+    ]
+
+  let report o r = S.obj o report_fields r
+end
+
+type json = t
+
+module Tree_sink = struct
+  type t = unit
+  type v = json
+
+  let bool () b = Bool b
+  let int () n = Int n
+  let str () s = Str s
+  let loc () l = Str (Loc.to_string l)
+
+  let rec items f = function
+    | [] -> []
+    | x :: xs ->
+      let v = f () x in
+      v :: items f xs
+
+  let list () f xs = List (items f xs)
+
+  let rec fields fs x =
+    match fs with
+    | [] -> []
+    | f :: fs ->
+      if f.present x then
+        let v = f.value () x in
+        (f.key, v) :: fields fs x
+      else fields fs x
+
+  let obj () fs x = Obj (fields fs x)
+end
+
+(* Compact JSON, byte-identical to [write] on the tree. *)
+module Buffer_sink = struct
+  type t = Buffer.t
+  type v = unit
+
+  let bool buf b = Buffer.add_string buf (if b then "true" else "false")
+  let int = add_int
+  let str = add_str
+
+  let loc buf (l : Loc.t) =
+    Buffer.add_char buf '"';
+    add_int buf l.line;
+    Buffer.add_char buf ':';
+    add_int buf l.col;
+    Buffer.add_char buf '"'
+
+  let rec items buf f = function
+    | [] -> ()
+    | x :: xs ->
+      Buffer.add_char buf ',';
+      f buf x;
+      items buf f xs
+
+  let list buf f = function
+    | [] -> Buffer.add_string buf "[]"
+    | x :: xs ->
+      Buffer.add_char buf '[';
+      f buf x;
+      items buf f xs;
+      Buffer.add_char buf ']'
+
+  let rec fields buf first fs x =
+    match fs with
+    | [] -> ()
+    | f :: fs ->
+      if f.present x then begin
+        if not first then Buffer.add_char buf ',';
+        add_str buf f.key;
+        Buffer.add_char buf ':';
+        f.value buf x;
+        fields buf false fs x
+      end
+      else fields buf first fs x
+
+  let obj buf fs x =
+    Buffer.add_char buf '{';
+    fields buf true fs x;
+    Buffer.add_char buf '}'
+end
+
+module Tree_schema = Schema (Tree_sink)
+module Buffer_schema = Schema (Buffer_sink)
+
+let pair r = Tree_schema.pair () r
+let stats s = Tree_schema.stats () s
+let report r = Tree_schema.report () r
+
+let item_line ~file ?(extra = []) r =
+  render (fun buf ->
+      Buffer.add_string buf "{\"file\":";
+      add_str buf file;
+      Buffer.add_string buf ",\"report\":";
+      Buffer_schema.report buf r;
+      List.iter
+        (fun field ->
+          Buffer.add_char buf ',';
+          write_field buf field)
+        extra;
+      Buffer.add_string buf "}\n")
 
 let metrics (snap : Dda_obs.Metrics.snapshot) =
   Obj

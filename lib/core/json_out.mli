@@ -19,7 +19,8 @@ val to_string : t -> string
     included, pass through unchanged. *)
 
 val to_line : t -> string
-(** [to_string j ^ "\n"], rendered into one buffer: one JSONL line. *)
+(** [to_string j ^ "\n"]: one JSONL line, rendered into a buffer the
+    calling domain reuses from line to line. *)
 
 val pp : Format.formatter -> t -> unit
 (** Indented rendering. *)
@@ -34,10 +35,23 @@ val member : string -> t -> t option
 (** [member k (Obj fields)] is the value bound to [k]; [None] when
     absent or when the value is not an object. *)
 
+(** {1 The analyzer report}
+
+    The report's schema is written once, against a stream of JSON
+    events, and has two sinks: {!report}, {!pair} and {!stats} build
+    the tree, {!item_line} writes the compact rendering straight into
+    a reused buffer without building one. The two renderings are
+    byte-identical (test_json.ml, group [schema]). *)
+
 val report : Analyzer.report -> t
 (** The whole report: one object per pair (locations, roles, outcome,
     direction vectors with dependence kinds, distance) plus the
     statistics block. *)
+
+val item_line : file:string -> ?extra:(string * t) list -> Analyzer.report -> string
+(** [item_line ~file ~extra r] is
+    [to_line (Obj (("file", Str file) :: ("report", report r) :: extra))]
+    — one streamed batch item — rendered without building [report r]. *)
 
 val pair : Analyzer.pair_report -> t
 (** One pair object, as embedded in {!report}. *)

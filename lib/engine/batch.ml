@@ -172,7 +172,8 @@ let run ?(config = Analyzer.default_config) ?(share_memo = false)
     let results = Array.init (hi - lo) (fun k -> process session (lo + k)) in
     (results, session)
   in
-  let pool = Pool.create ~jobs in
+  (* One chunk runs on this domain: no worker domain at [jobs = 1]. *)
+  let pool = Pool.create ~jobs:(if jobs = 1 then 0 else jobs) in
   let per_chunk =
     Fun.protect
       ~finally:(fun () -> Pool.shutdown pool)

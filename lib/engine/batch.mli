@@ -107,7 +107,8 @@ val run :
   jobs:int ->
   item list ->
   result
-(** Analyze the corpus on [jobs] domains. [share_memo] defaults to
+(** Analyze the corpus on [jobs] domains ([jobs = 1]: the calling
+    domain, no worker is spawned). [share_memo] defaults to
     [false] (the fully [jobs]-independent mode described above); when
     set, workers share the memo tables live unless [memo_merge_after]
     (default [false]) selects the per-domain-sessions-merged-at-the-end

@@ -3,12 +3,6 @@ type 'a state =
   | Done of 'a
   | Failed of exn * Printexc.raw_backtrace
 
-type 'a promise = {
-  p_lock : Mutex.t;
-  p_filled : Condition.t;
-  mutable state : 'a state;
-}
-
 type t = {
   lock : Mutex.t;
   work_available : Condition.t;
@@ -16,6 +10,13 @@ type t = {
   mutable closed : bool;
   mutable workers : unit Domain.t list;
   jobs : int;
+}
+
+type 'a promise = {
+  p_lock : Mutex.t;
+  p_filled : Condition.t;
+  mutable state : 'a state;
+  p_pool : t;
 }
 
 let size t = t.jobs
@@ -43,7 +44,7 @@ let rec worker t =
     worker t
 
 let create ~jobs =
-  if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
+  if jobs < 0 then invalid_arg "Pool.create: jobs must be >= 0";
   let t =
     {
       lock = Mutex.create ();
@@ -59,7 +60,12 @@ let create ~jobs =
 
 let submit t f =
   let p =
-    { p_lock = Mutex.create (); p_filled = Condition.create (); state = Pending }
+    {
+      p_lock = Mutex.create ();
+      p_filled = Condition.create ();
+      state = Pending;
+      p_pool = t;
+    }
   in
   let job () =
     let result =
@@ -88,16 +94,44 @@ let submit t f =
   Mutex.unlock t.lock;
   p
 
+(* Without workers the caller does the work: pop and run queued tasks,
+   oldest first, on this domain, until [stop ()] holds or the queue is
+   empty. Each task is popped under the lock, so it runs exactly once
+   whichever domain pops it. *)
+let run_queued t ~stop =
+  let take () =
+    Mutex.lock t.lock;
+    let job = Queue.take_opt t.queue in
+    Mutex.unlock t.lock;
+    job
+  in
+  let rec go () =
+    if not (stop ()) then
+      match take () with
+      | Some job ->
+        job ();
+        go ()
+      | None -> ()
+  in
+  go ()
+
 let await p =
+  let settled () =
+    Mutex.lock p.p_lock;
+    let s = p.state in
+    Mutex.unlock p.p_lock;
+    match s with Pending -> false | Done _ | Failed _ -> true
+  in
+  if p.p_pool.jobs = 0 then run_queued p.p_pool ~stop:settled;
   Mutex.lock p.p_lock;
-  let rec settled () =
+  let rec wait () =
     match p.state with
     | Pending ->
       Condition.wait p.p_filled p.p_lock;
-      settled ()
+      wait ()
     | (Done _ | Failed _) as s -> s
   in
-  let s = settled () in
+  let s = wait () in
   Mutex.unlock p.p_lock;
   match s with
   | Done v -> v
@@ -115,4 +149,6 @@ let shutdown t =
   let workers = t.workers in
   t.workers <- [];
   Mutex.unlock t.lock;
+  (* With workers the queue drains through them; without, here. *)
+  if t.jobs = 0 then run_queued t ~stop:(fun () -> false);
   List.iter Domain.join workers

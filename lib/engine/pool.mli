@@ -11,6 +11,14 @@
     execution — a single worker pops the FIFO queue, so tasks run
     exactly in submission order.
 
+    With [jobs = 0] no domain is spawned and the caller does the work:
+    {!await} runs the queued tasks on the calling domain, oldest first,
+    until the awaited one has run, each inside the same wrapper a worker
+    would use (the [pool.job] trace span and failpoint, exception
+    capture); {!shutdown} runs every task still queued. Awaiting tasks
+    in submission order therefore runs each one as it is awaited, with
+    no second domain for the stop-the-world collections to bring along.
+
     Tasks must not {!await} promises of the same pool (a task blocking
     on another queued task can deadlock a fully busy pool); await from
     the submitting domain. *)
@@ -18,8 +26,8 @@
 type t
 
 val create : jobs:int -> t
-(** Spawn [jobs] worker domains.
-    @raise Invalid_argument when [jobs < 1]. *)
+(** Spawn [jobs] worker domains ([0]: none, see above).
+    @raise Invalid_argument when [jobs < 0]. *)
 
 val size : t -> int
 (** Number of worker domains. *)
@@ -27,12 +35,15 @@ val size : t -> int
 type 'a promise
 
 val submit : t -> (unit -> 'a) -> 'a promise
-(** Enqueue a task; it starts as soon as a worker is free.
+(** Enqueue a task; it starts as soon as a worker is free (without
+    workers: when it is awaited).
     @raise Invalid_argument after {!shutdown}. *)
 
 val await : 'a promise -> 'a
 (** Block until the task finishes; returns its value or re-raises its
-    exception. Can be called any number of times. *)
+    exception. Can be called any number of times. In a pool without
+    workers it first runs, on the calling domain, the tasks queued up
+    to and including this one that have not run yet. *)
 
 val run : t -> (unit -> 'a) -> 'a
 (** [run pool f] = [await (submit pool f)]. *)
@@ -43,5 +54,6 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     raise, the exception of the earliest element propagates. *)
 
 val shutdown : t -> unit
-(** Finish all queued tasks, then join every worker domain. Idempotent;
-    subsequent {!submit}s are refused. *)
+(** Finish all queued tasks (without workers: run them on the calling
+    domain), then join every worker domain. Idempotent; subsequent
+    {!submit}s are refused. *)

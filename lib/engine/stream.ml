@@ -148,9 +148,11 @@ let () =
 let parse name text =
   match Parser.parse_program text with
   | prog ->
-    List.iter
-      (fun e -> Dda_obs.Log.debug "%s: %a" name Semant.pp_error e)
-      (Semant.check prog);
+    (* Semantic findings are only ever logged, at debug level. *)
+    if Dda_obs.Log.level () = Dda_obs.Log.Debug then
+      List.iter
+        (fun e -> Dda_obs.Log.debug "%s: %a" name Semant.pp_error e)
+        (Semant.check prog);
     prog
   | exception Parser.Error (msg, loc) ->
     raise
@@ -165,10 +167,11 @@ let md5_hex s = Digest.to_hex (Digest.string s)
 (* One item, with the in-memory engine's fault isolation — except that
    a parse or lexical error quarantines immediately: the input is
    static, retrying cannot change the answer. Returns the source-text
-   digest alongside the outcome ("" when the text was never obtained),
-   which becomes the journal's corpus key. *)
+   digest alongside the outcome, which becomes the journal's corpus
+   key: "" when the text was never obtained, or when there is no
+   journal ([keyed] false) to keep it. *)
 let process ~config ~cache ~verify ~lint ~retries ~backoff_ms ~item_timeout_ms
-    ~idx it =
+    ~keyed ~idx it =
   Dda_obs.Metrics.incr m_items;
   let verification cancel program report =
     if not verify then None
@@ -208,7 +211,7 @@ let process ~config ~cache ~verify ~lint ~retries ~backoff_ms ~item_timeout_ms
         (fun () ->
           Failpoint.hit "batch.item";
           let text = it.text () in
-          key := md5_hex text;
+          if keyed then key := md5_hex text;
           let program = parse it.name text in
           let cancel = item_cancel () in
           let report =
@@ -602,7 +605,10 @@ let run ?(config = Analyzer.default_config) ?(share_memo = false)
   Fun.protect
     ~finally:(fun () -> Option.iter close_out_noerr joc)
     (fun () ->
-      let pool = Pool.create ~jobs in
+      (* At [jobs = 1] the analysis runs on this domain, interleaved
+         with rendering: a second domain would only idle, and every
+         stop-the-world collection would still have to bring it along. *)
+      let pool = Pool.create ~jobs:(if jobs = 1 then 0 else jobs) in
       Fun.protect
         ~finally:(fun () -> Pool.shutdown pool)
         (fun () ->
@@ -632,7 +638,8 @@ let run ?(config = Analyzer.default_config) ?(share_memo = false)
                     it.name,
                     Pool.submit pool (fun () ->
                         process ~config ~cache ~verify ~lint ~retries
-                          ~backoff_ms ~item_timeout_ms ~idx it) )
+                          ~backoff_ms ~item_timeout_ms ~keyed:(joc <> None)
+                          ~idx it) )
                   pending
             done
           in

@@ -9,7 +9,9 @@
     domain, and emits its rendered result as soon as every earlier
     item's result has been emitted. At most [2 * jobs] items are in
     flight, so peak memory is a function of [jobs] and the largest
-    single item, never of corpus length.
+    single item, never of corpus length. At [jobs = 1] there is no
+    worker domain: each item is analyzed on the calling domain when
+    its turn to be emitted comes ({!Pool}'s zero-worker mode).
 
     {b Determinism.} By default items are analyzed independently,
     results are emitted in input order, and the per-item counters are
@@ -61,7 +63,7 @@ open Dda_core
 type item = {
   name : string;  (** label carried through results and the journal *)
   text : unit -> string;
-      (** produce the source text; called on a worker domain, and
+      (** produce the source text; called on the analyzing domain, and
           again (on the driver) when validating a resume — must be
           pure, or at least stable for the run's duration *)
 }
@@ -140,7 +142,9 @@ val run :
   emit:(string -> unit) ->
   source ->
   summary
-(** Drive the corpus through [jobs] worker domains. [render] turns
+(** Drive the corpus through [jobs] analysis domains ([jobs = 1]: the
+    calling domain; [jobs >= 2]: that many worker domains, with
+    rendering on the calling one). [render] turns
     each result into the output chunk that is journaled and emitted;
     [emit] receives the chunks in input order (replayed chunks come
     from the journal, not from [render]). The per-item knobs

@@ -1,112 +1,178 @@
 exception Error of string * Loc.t
 
-let keyword = function
-  | "for" -> Some Token.KW_FOR
-  | "parallel" -> Some Token.KW_PARALLEL
-  | "to" -> Some Token.KW_TO
-  | "step" -> Some Token.KW_STEP
-  | "do" -> Some Token.KW_DO
-  (* "end for" / "end if" would be ambiguous with "end" followed by a
-     new loop, so the suffixed closers are single keywords. *)
-  | "end" | "endfor" | "endif" -> Some Token.KW_END
-  | "if" -> Some Token.KW_IF
-  | "then" -> Some Token.KW_THEN
-  | "else" -> Some Token.KW_ELSE
-  | "read" -> Some Token.KW_READ
-  | _ -> None
+type tokens = {
+  mutable toks : Token.t array;
+  mutable lines : int array;
+  mutable cols : int array;
+  mutable count : int;
+}
+
+let create () =
+  {
+    toks = Array.make 256 Token.EOF;
+    lines = Array.make 256 0;
+    cols = Array.make 256 0;
+    count = 0;
+  }
+
+let keywords =
+  [|
+    ("for", Token.KW_FOR);
+    ("parallel", Token.KW_PARALLEL);
+    ("to", Token.KW_TO);
+    ("step", Token.KW_STEP);
+    ("do", Token.KW_DO);
+    (* "end for" / "end if" would be ambiguous with "end" followed by a
+       new loop, so the suffixed closers are single keywords. *)
+    ("end", Token.KW_END);
+    ("endfor", Token.KW_END);
+    ("endif", Token.KW_END);
+    ("if", Token.KW_IF);
+    ("then", Token.KW_THEN);
+    ("else", Token.KW_ELSE);
+    ("read", Token.KW_READ);
+  |]
 
 let is_digit c = c >= '0' && c <= '9'
 let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_alnum c = is_alpha c || is_digit c
 
-type state = {
-  src : string;
-  mutable pos : int;
-  mutable line : int;
-  mutable col : int;
-}
+(* Does [src.[start .. start + len - 1]] spell [kw]? Compared in place,
+   so a keyword costs no substring. *)
+let spells src start len kw =
+  String.length kw = len
+  &&
+  let rec eq i =
+    i = len
+    || (String.unsafe_get src (start + i) = String.unsafe_get kw i && eq (i + 1))
+  in
+  eq 0
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+let word src start len =
+  let rec find k =
+    if k = Array.length keywords then Token.IDENT (String.sub src start len)
+    else
+      let kw, tok = Array.unsafe_get keywords k in
+      if spells src start len kw then tok else find (k + 1)
+  in
+  find 0
 
-let advance st =
-  (match peek st with
-   | Some '\n' ->
-     st.line <- st.line + 1;
-     st.col <- 1
-   | Some _ -> st.col <- st.col + 1
-   | None -> ());
-  st.pos <- st.pos + 1
+(* Up to 17 digits cannot overflow a 63-bit int; longer literals go
+   through [int_of_string_opt], whose range is the language's. *)
+let number src start len =
+  if len <= 17 then begin
+    let n = ref 0 in
+    for i = start to start + len - 1 do
+      n := (10 * !n) + (Char.code (String.unsafe_get src i) - 48)
+    done;
+    Some !n
+  end
+  else int_of_string_opt (String.sub src start len)
 
-let here st = Loc.make ~line:st.line ~col:st.col
+(* The arrays grow by doubling; a token's location is its line and the
+   column of its first byte, 1-based. *)
+let push t tok line col =
+  let n = t.count in
+  if n = Array.length t.toks then begin
+    let grow a fill =
+      let b = Array.make (max 256 (2 * n)) fill in
+      Array.blit a 0 b 0 n;
+      b
+    in
+    t.toks <- grow t.toks Token.EOF;
+    t.lines <- grow t.lines 0;
+    t.cols <- grow t.cols 0
+  end;
+  Array.unsafe_set t.toks n tok;
+  Array.unsafe_set t.lines n line;
+  Array.unsafe_set t.cols n col;
+  t.count <- n + 1
 
-let lex_number st =
-  let start = st.pos in
-  while (match peek st with Some c -> is_digit c | None -> false) do
-    advance st
+(* One pass over [src] with integer positions: [line] and [bol] (the
+   offset where the line begins) give every column as [pos - bol + 1]. *)
+let scan ?(into = create ()) src =
+  let t = into in
+  t.count <- 0;
+  let len = String.length src in
+  let error msg line col = raise (Error (msg, Loc.make ~line ~col)) in
+  let pos = ref 0 and line = ref 1 and bol = ref 0 in
+  while !pos < len do
+    let p = !pos in
+    let col = p - !bol + 1 in
+    match String.unsafe_get src p with
+    | '\n' ->
+      incr line;
+      bol := p + 1;
+      pos := p + 1
+    | ' ' | '\t' | '\r' -> pos := p + 1
+    | '#' ->
+      (* A comment runs to the newline, which the next step counts. *)
+      let q = ref p in
+      while !q < len && String.unsafe_get src !q <> '\n' do
+        incr q
+      done;
+      pos := !q
+    | '0' .. '9' ->
+      let q = ref (p + 1) in
+      while !q < len && is_digit (String.unsafe_get src !q) do
+        incr q
+      done;
+      (match number src p (!q - p) with
+       | Some n -> push t (Token.INT n) !line col
+       | None ->
+         (* Reported where the literal ends. *)
+         error
+           (Printf.sprintf "integer literal out of range: %s"
+              (String.sub src p (!q - p)))
+           !line
+           (!q - !bol + 1));
+      pos := !q
+    | c when is_alpha c ->
+      let q = ref (p + 1) in
+      while !q < len && is_alnum (String.unsafe_get src !q) do
+        incr q
+      done;
+      push t (word src p (!q - p)) !line col;
+      pos := !q
+    | ('=' | '<' | '>' | '!') as c ->
+      (* An operator that may be followed by '=' ("<" / "<="); a bare
+         '!' is not a token. *)
+      let double = p + 1 < len && String.unsafe_get src (p + 1) = '=' in
+      let tok =
+        match c, double with
+        | '=', true -> Token.EQ
+        | '=', false -> Token.ASSIGN
+        | '<', true -> Token.LE
+        | '<', false -> Token.LT
+        | '>', true -> Token.GE
+        | '>', false -> Token.GT
+        | '!', true -> Token.NE
+        | _ -> error "expected '=' after '!'" !line col
+      in
+      push t tok !line col;
+      pos := if double then p + 2 else p + 1
+    | c ->
+      let tok =
+        match c with
+        | '+' -> Token.PLUS
+        | '-' -> Token.MINUS
+        | '*' -> Token.STAR
+        | '/' -> Token.SLASH
+        | '(' -> Token.LPAREN
+        | ')' -> Token.RPAREN
+        | '[' -> Token.LBRACKET
+        | ']' -> Token.RBRACKET
+        | ',' -> Token.COMMA
+        | c -> error (Printf.sprintf "unexpected character '%c'" c) !line col
+      in
+      push t tok !line col;
+      pos := p + 1
   done;
-  let text = String.sub st.src start (st.pos - start) in
-  match int_of_string_opt text with
-  | Some n -> Token.INT n
-  | None -> raise (Error (Printf.sprintf "integer literal out of range: %s" text, here st))
+  push t Token.EOF !line (len - !bol + 1);
+  t
 
-let lex_ident st =
-  let start = st.pos in
-  while (match peek st with Some c -> is_alnum c | None -> false) do
-    advance st
-  done;
-  let text = String.sub st.src start (st.pos - start) in
-  match keyword text with Some kw -> kw | None -> Token.IDENT text
+let loc t i = Loc.make ~line:t.lines.(i) ~col:t.cols.(i)
 
 let tokenize src =
-  let st = { src; pos = 0; line = 1; col = 1 } in
-  let toks = ref [] in
-  let emit tok loc = toks := (tok, loc) :: !toks in
-  let rec skip_comment () =
-    match peek st with
-    | Some '\n' | None -> ()
-    | Some _ ->
-      advance st;
-      skip_comment ()
-  in
-  (* Lex an operator that may be followed by '=' (e.g. "<" / "<=").
-     [single_tok = None] means the bare character is not a token. *)
-  let two_char_op loc c1 double_tok single_tok =
-    advance st;
-    match peek st with
-    | Some '=' ->
-      advance st;
-      emit double_tok loc
-    | _ -> (
-        match single_tok with
-        | Some t -> emit t loc
-        | None -> raise (Error (Printf.sprintf "expected '=' after '%c'" c1, loc)))
-  in
-  let continue_lexing = ref true in
-  while !continue_lexing do
-    let loc = here st in
-    match peek st with
-    | None ->
-      emit Token.EOF loc;
-      continue_lexing := false
-    | Some c -> (
-        match c with
-        | ' ' | '\t' | '\r' | '\n' -> advance st
-        | '#' -> skip_comment ()
-        | '0' .. '9' -> emit (lex_number st) loc
-        | c when is_alpha c -> emit (lex_ident st) loc
-        | '+' -> advance st; emit Token.PLUS loc
-        | '-' -> advance st; emit Token.MINUS loc
-        | '*' -> advance st; emit Token.STAR loc
-        | '/' -> advance st; emit Token.SLASH loc
-        | '(' -> advance st; emit Token.LPAREN loc
-        | ')' -> advance st; emit Token.RPAREN loc
-        | '[' -> advance st; emit Token.LBRACKET loc
-        | ']' -> advance st; emit Token.RBRACKET loc
-        | ',' -> advance st; emit Token.COMMA loc
-        | '=' -> two_char_op loc '=' Token.EQ (Some Token.ASSIGN)
-        | '<' -> two_char_op loc '<' Token.LE (Some Token.LT)
-        | '>' -> two_char_op loc '>' Token.GE (Some Token.GT)
-        | '!' -> two_char_op loc '!' Token.NE None
-        | c -> raise (Error (Printf.sprintf "unexpected character '%c'" c, loc)))
-  done;
-  List.rev !toks
+  let t = scan src in
+  List.init t.count (fun i -> (t.toks.(i), loc t i))

@@ -1,39 +1,44 @@
 exception Error of string * Loc.t
 
+(* A cursor over the lexer's token arrays. The cursor never moves past
+   the final EOF: every [advance] follows a match on a token other than
+   EOF. *)
 type state = {
-  mutable toks : (Token.t * Loc.t) list;
+  t : Lexer.tokens;
+  mutable i : int;
 }
 
-let peek st =
-  match st.toks with
-  | [] -> (Token.EOF, Loc.dummy)
-  | t :: _ -> t
-
-let advance st = match st.toks with [] -> () | _ :: rest -> st.toks <- rest
+let peek st = st.t.Lexer.toks.(st.i)
+let loc st = Lexer.loc st.t st.i
+let advance st = st.i <- st.i + 1
 
 let fail st msg =
-  let tok, loc = peek st in
-  raise (Error (Printf.sprintf "%s (found '%s')" msg (Token.to_string tok), loc))
+  let found = Token.to_string (peek st) in
+  raise (Error (Printf.sprintf "%s (found '%s')" msg found, loc st))
 
 let expect st tok what =
-  let t, _ = peek st in
-  if Token.equal t tok then advance st else fail st (Printf.sprintf "expected %s" what)
+  if Token.equal (peek st) tok then advance st
+  else fail st (Printf.sprintf "expected %s" what)
 
 let expect_ident st what =
   match peek st with
-  | Token.IDENT name, _ ->
+  | Token.IDENT name ->
     advance st;
     name
   | _ -> fail st (Printf.sprintf "expected %s" what)
+
+(* [loc st] is taken before [advance]: a node sits at its first token. *)
 
 (* expr ::= term (("+" | "-") term)* *)
 let rec parse_expr_p st =
   let rec loop acc =
     match peek st with
-    | Token.PLUS, loc ->
+    | Token.PLUS ->
+      let loc = loc st in
       advance st;
       loop (Ast.bin ~loc Ast.Add acc (parse_term st))
-    | Token.MINUS, loc ->
+    | Token.MINUS ->
+      let loc = loc st in
       advance st;
       loop (Ast.bin ~loc Ast.Sub acc (parse_term st))
     | _ -> acc
@@ -43,10 +48,12 @@ let rec parse_expr_p st =
 and parse_term st =
   let rec loop acc =
     match peek st with
-    | Token.STAR, loc ->
+    | Token.STAR ->
+      let loc = loc st in
       advance st;
       loop (Ast.bin ~loc Ast.Mul acc (parse_factor st))
-    | Token.SLASH, loc ->
+    | Token.SLASH ->
+      let loc = loc st in
       advance st;
       loop (Ast.bin ~loc Ast.Div acc (parse_factor st))
     | _ -> acc
@@ -55,18 +62,21 @@ and parse_term st =
 
 and parse_factor st =
   match peek st with
-  | Token.MINUS, loc ->
+  | Token.MINUS ->
+    let loc = loc st in
     advance st;
     Ast.neg ~loc (parse_factor st)
-  | Token.INT n, loc ->
+  | Token.INT n ->
+    let loc = loc st in
     advance st;
     Ast.int_ ~loc n
-  | Token.LPAREN, _ ->
+  | Token.LPAREN ->
     advance st;
     let e = parse_expr_p st in
     expect st Token.RPAREN "')'";
     e
-  | Token.IDENT name, loc ->
+  | Token.IDENT name ->
+    let loc = loc st in
     advance st;
     let subs = parse_subscripts st in
     if subs = [] then Ast.var ~loc name else Ast.aref ~loc name subs
@@ -74,7 +84,7 @@ and parse_factor st =
 
 and parse_subscripts st =
   match peek st with
-  | Token.LBRACKET, _ ->
+  | Token.LBRACKET ->
     advance st;
     let e = parse_expr_p st in
     expect st Token.RBRACKET "']'";
@@ -82,14 +92,18 @@ and parse_subscripts st =
   | _ -> []
 
 let parse_relop st =
-  match peek st with
-  | Token.EQ, _ -> advance st; Ast.Req
-  | Token.NE, _ -> advance st; Ast.Rne
-  | Token.LT, _ -> advance st; Ast.Rlt
-  | Token.LE, _ -> advance st; Ast.Rle
-  | Token.GT, _ -> advance st; Ast.Rgt
-  | Token.GE, _ -> advance st; Ast.Rge
-  | _ -> fail st "expected a relational operator"
+  let rel =
+    match peek st with
+    | Token.EQ -> Ast.Req
+    | Token.NE -> Ast.Rne
+    | Token.LT -> Ast.Rlt
+    | Token.LE -> Ast.Rle
+    | Token.GT -> Ast.Rgt
+    | Token.GE -> Ast.Rge
+    | _ -> fail st "expected a relational operator"
+  in
+  advance st;
+  rel
 
 let parse_cond st =
   let lhs = parse_expr_p st in
@@ -99,34 +113,39 @@ let parse_cond st =
 
 let rec parse_stmt st =
   match peek st with
-  | Token.KW_PARALLEL, loc ->
+  | Token.KW_PARALLEL ->
+    let loc = loc st in
     advance st;
     expect st Token.KW_FOR "'for' after 'parallel'";
     parse_for st ~loc ~parallel:true
-  | Token.KW_FOR, loc ->
+  | Token.KW_FOR ->
+    let loc = loc st in
     advance st;
     parse_for st ~loc ~parallel:false
-  | Token.KW_IF, loc ->
+  | Token.KW_IF ->
+    let loc = loc st in
     advance st;
     let cond = parse_cond st in
     expect st Token.KW_THEN "'then'";
     let then_ = parse_stmts st in
     let else_ =
       match peek st with
-      | Token.KW_ELSE, _ ->
+      | Token.KW_ELSE ->
         advance st;
         parse_stmts st
       | _ -> []
     in
     expect st Token.KW_END "'end'";
     Ast.if_ ~loc cond then_ else_
-  | Token.KW_READ, loc ->
+  | Token.KW_READ ->
+    let loc = loc st in
     advance st;
     expect st Token.LPAREN "'('";
     let name = expect_ident st "a variable name" in
     expect st Token.RPAREN "')'";
     Ast.read ~loc name
-  | Token.IDENT name, loc ->
+  | Token.IDENT name ->
+    let loc = loc st in
     advance st;
     let subs = parse_subscripts st in
     expect st Token.ASSIGN "'='";
@@ -143,7 +162,7 @@ and parse_for st ~loc ~parallel =
   let hi = parse_expr_p st in
   let step =
     match peek st with
-    | Token.KW_STEP, _ ->
+    | Token.KW_STEP ->
       advance st;
       Some (parse_expr_p st)
     | _ -> None
@@ -155,23 +174,26 @@ and parse_for st ~loc ~parallel =
 
 and parse_stmts st =
   match peek st with
-  | (Token.KW_END | Token.KW_ELSE | Token.EOF), _ -> []
+  | Token.KW_END | Token.KW_ELSE | Token.EOF -> []
   | _ ->
     let s = parse_stmt st in
     s :: parse_stmts st
 
-let parse_program src =
-  let st = { toks = Lexer.tokenize src } in
-  let prog = parse_stmts st in
-  (match peek st with
-   | Token.EOF, _ -> ()
-   | _ -> fail st "expected end of input");
-  prog
+(* Each domain lexes into the same token arrays, parse after parse:
+   parses on one domain never overlap (no parse nests in another, and
+   the program runs no systhreads), and the AST keeps no reference to
+   the arrays. *)
+let scratch = Domain.DLS.new_key Lexer.create
 
-let parse_expr src =
-  let st = { toks = Lexer.tokenize src } in
-  let e = parse_expr_p st in
+(* The whole input is lexed before parsing starts, so a lexical error
+   anywhere wins over a syntax error earlier in the input. *)
+let parse_all parse src =
+  let st = { t = Lexer.scan ~into:(Domain.DLS.get scratch) src; i = 0 } in
+  let v = parse st in
   (match peek st with
-   | Token.EOF, _ -> ()
+   | Token.EOF -> ()
    | _ -> fail st "expected end of input");
-  e
+  v
+
+let parse_program src = parse_all parse_stmts src
+let parse_expr src = parse_all parse_expr_p src

@@ -21,6 +21,25 @@ let read_all ic =
    with End_of_file -> ());
   Buffer.contents buf
 
+let read_file path =
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error msg -> "(unreadable: " ^ msg ^ ")"
+
+(* A failed step of compile-and-run, reported with everything needed to
+   tell a compiler problem from a runtime one: the step, its exit
+   status, its stderr and the source. *)
+exception C_step_failed of string
+
+let () =
+  Printexc.register_printer (function
+    | C_step_failed msg -> Some msg
+    | _ -> None)
+
+let status_to_string = function
+  | Unix.WEXITED n -> Printf.sprintf "exit status %d" n
+  | Unix.WSIGNALED s -> Printf.sprintf "killed by signal %d" s
+  | Unix.WSTOPPED s -> Printf.sprintf "stopped by signal %d" s
+
 let compile_and_run ?(openmp = false) ?(threads = 1) c_src =
   let dir = Filename.temp_file "dda_cg" "" in
   Sys.remove dir;
@@ -33,24 +52,54 @@ let compile_and_run ?(openmp = false) ?(threads = 1) c_src =
     (fun () ->
        let c_file = Filename.concat dir "prog.c" in
        let exe = Filename.concat dir "prog" in
+       let cc_err = Filename.concat dir "cc.err" in
+       let run_err = Filename.concat dir "run.err" in
        let oc = open_out c_file in
        output_string oc c_src;
        close_out oc;
        let flags = if openmp then "-fopenmp" else "" in
        let cmd =
-         Printf.sprintf "gcc -O1 %s -o %s %s 2> %s/cc.err" flags
-           (Filename.quote exe) (Filename.quote c_file) (Filename.quote dir)
+         Printf.sprintf "gcc -O1 %s -o %s %s 2> %s" flags
+           (Filename.quote exe) (Filename.quote c_file) (Filename.quote cc_err)
        in
-       if Sys.command cmd <> 0 then
-         failwith ("C compilation failed:\n" ^ c_src);
+       let cc_status = Sys.command cmd in
+       if cc_status <> 0 then
+         raise
+           (C_step_failed
+              (Printf.sprintf
+                 "gcc %s exited with status %d\n--- gcc stderr ---\n%s--- source ---\n%s"
+                 flags cc_status (read_file cc_err) c_src));
        let run_cmd =
-         Printf.sprintf "OMP_NUM_THREADS=%d %s" threads (Filename.quote exe)
+         Printf.sprintf "OMP_NUM_THREADS=%d %s 2> %s" threads (Filename.quote exe)
+           (Filename.quote run_err)
        in
        let ic = Unix.open_process_in run_cmd in
        let output = read_all ic in
        match Unix.close_process_in ic with
        | Unix.WEXITED 0 -> output
-       | _ -> failwith "generated program crashed")
+       | status ->
+         raise
+           (C_step_failed
+              (Printf.sprintf
+                 "generated program (OMP_NUM_THREADS=%d) ended with %s\n\
+                  --- stderr ---\n%s--- stdout (%d bytes) ---\n%s--- source ---\n%s"
+                 threads (status_to_string status) (read_file run_err)
+                 (String.length output) output c_src)))
+
+(* The lines where the interpreter's state dump and the C program's
+   differ, with their line numbers. *)
+let state_diff expected actual =
+  let e = Array.of_list (String.split_on_char '\n' expected)
+  and a = Array.of_list (String.split_on_char '\n' actual) in
+  let line arr i = if i < Array.length arr then arr.(i) else "(missing)" in
+  let diffs = ref [] in
+  for i = max (Array.length e) (Array.length a) - 1 downto 0 do
+    if line e i <> line a i then
+      diffs :=
+        Printf.sprintf "line %d: interpreter %S, C %S" (i + 1) (line e i) (line a i)
+        :: !diffs
+  done;
+  String.concat "\n" !diffs
 
 let parallel_flags prog =
   let prepared = Dda_passes.Pipeline.run prog in
@@ -125,6 +174,60 @@ let test_pragma_placement () =
     Alcotest.(check bool) "no pragma" false (contains "#pragma" src)
   | Error e -> Alcotest.fail e
 
+(* An outer parallel loop's iterations each run the nested loops, so
+   the nested loop variables must be private to each thread too — when
+   they were shared, threads overwrote each other's [j] and [k] and
+   cells went missing from the final state. When the copies cannot be
+   carried out exactly (a nested loop that may not run in the last
+   iteration, a scalar assignment in the body), the loop stays serial. *)
+let test_nested_loop_variables_private () =
+  let pragmas src =
+    let prepared, parallel = parallel_flags (Parser.parse_program src) in
+    match C_emit.emit ~parallel prepared with
+    | Error e -> Alcotest.fail e
+    | Ok c ->
+      List.filter_map
+        (fun line ->
+          let line = String.trim line in
+          if String.length line > 7 && String.sub line 0 7 = "#pragma" then Some line
+          else None)
+        (String.split_on_char '\n' c)
+  in
+  Alcotest.(check (list string)) "nested variables privatized"
+    [
+      "#pragma omp parallel for lastprivate(v_i, v_j, v_k)";
+      "#pragma omp parallel for lastprivate(v_k)";
+    ]
+    (pragmas
+       "for i = 1 to 4 do\n\
+       \  for j = 0 to 3 do\n\
+       \    for k = 2 to 4 do\n\
+       \      c[j + 2 * k - 1][j + 2 * k - 2 * i - 3] = c[2 * i - k + 3][2 * i + 2] + 8\n\
+       \    end\n\
+       \  end\n\
+        end");
+  Alcotest.(check (list string)) "an empty nested range keeps the outer loop serial"
+    [ "#pragma omp parallel for lastprivate(v_j)" ]
+    (pragmas "for i = 1 to 4 do\n  for j = 3 to 1 do\n    a[i][j] = 1\n  end\nend");
+  Alcotest.(check (list string)) "a nested loop under an if keeps it serial"
+    [ "#pragma omp parallel for lastprivate(v_j)" ]
+    (pragmas
+       "for i = 1 to 4 do\n\
+       \  if i > 2 then\n\
+       \    for j = 1 to 3 do a[i][j] = 1 end\n\
+       \  end\n\
+        end");
+  require_gcc ();
+  check_against_interp ~openmp:true ~threads:4 "racy nest, openmp x4"
+    (Parser.parse_program
+       "for i = 1 to 40 do\n\
+       \  for j = 1 to 30 do\n\
+       \    for k = 1 to 20 do\n\
+       \      a[i][j + k] = i + j\n\
+       \    end\n\
+       \  end\n\
+        end")
+
 let test_rejections () =
   let reject src =
     match C_emit.emit (Parser.parse_program src) with
@@ -154,30 +257,31 @@ let test_fortran_loop_semantics () =
 (* Property: random affine nests through gcc                           *)
 (* ------------------------------------------------------------------ *)
 
+(* A failing case reports which step failed: the compiler or the run
+   (status and stderr, via [C_step_failed]), or the final state (the
+   differing lines). *)
+let codegen_matches_interp ?openmp ?threads prog =
+  QCheck.assume gcc_available;
+  let prepared, parallel = parallel_flags prog in
+  match C_emit.emit ~parallel prepared with
+  | Error _ -> QCheck.assume_fail ()
+  | Ok c_src ->
+    let expected = C_emit.state_dump (fst (Interp.final_state prepared)) in
+    let actual = compile_and_run ?openmp ?threads c_src in
+    String.equal expected actual
+    || QCheck.Test.fail_reportf "final state differs:@.%s@.--- source ---@.%s"
+         (state_diff expected actual) c_src
+
 let prop_codegen_matches_interp =
   QCheck.Test.make ~name:"generated C reproduces the interpreter state (gcc)"
     ~count:30 Test_support.Gen_ast.arb_affine_nest
-    (fun prog ->
-       QCheck.assume gcc_available;
-       let prepared, parallel = parallel_flags prog in
-       match C_emit.emit ~parallel prepared with
-       | Error _ -> QCheck.assume_fail ()
-       | Ok c_src ->
-         let expected = C_emit.state_dump (fst (Interp.final_state prepared)) in
-         String.equal expected (compile_and_run c_src))
+    (fun prog -> codegen_matches_interp prog)
 
 let prop_codegen_openmp_matches_interp =
   QCheck.Test.make
     ~name:"generated C with OpenMP (4 threads) reproduces the interpreter state"
     ~count:15 Test_support.Gen_ast.arb_affine_nest
-    (fun prog ->
-       QCheck.assume gcc_available;
-       let prepared, parallel = parallel_flags prog in
-       match C_emit.emit ~parallel prepared with
-       | Error _ -> QCheck.assume_fail ()
-       | Ok c_src ->
-         let expected = C_emit.state_dump (fst (Interp.final_state prepared)) in
-         String.equal expected (compile_and_run ~openmp:true ~threads:4 c_src))
+    (fun prog -> codegen_matches_interp ~openmp:true ~threads:4 prog)
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -188,6 +292,8 @@ let () =
           Alcotest.test_case "kernels, sequential" `Quick test_kernels_sequential;
           Alcotest.test_case "kernels, openmp x4" `Quick test_kernels_openmp;
           Alcotest.test_case "pragma placement" `Quick test_pragma_placement;
+          Alcotest.test_case "nested loop variables are private" `Quick
+            test_nested_loop_variables_private;
           Alcotest.test_case "rejections" `Quick test_rejections;
           Alcotest.test_case "fortran loop semantics" `Quick test_fortran_loop_semantics;
         ] );

@@ -69,9 +69,90 @@ let test_pool_shutdown () =
   Alcotest.check_raises "submit after shutdown"
     (Invalid_argument "Pool.submit: the pool is shut down") (fun () ->
       ignore (Pool.submit pool (fun () -> ())));
-  Alcotest.check_raises "jobs must be positive"
-    (Invalid_argument "Pool.create: jobs must be >= 1") (fun () ->
-      ignore (Pool.create ~jobs:0))
+  Alcotest.check_raises "jobs must not be negative"
+    (Invalid_argument "Pool.create: jobs must be >= 0") (fun () ->
+      ignore (Pool.create ~jobs:(-1)))
+
+(* The zero-worker pool: no domain is spawned, an awaited task runs on
+   the awaiting domain, and shutdown runs what nobody awaited. *)
+let test_pool_zero_workers_on_caller () =
+  let pool = Pool.create ~jobs:0 in
+  Alcotest.(check int) "size" 0 (Pool.size pool);
+  let self = (Domain.self () :> int) in
+  let log = ref [] in
+  let promises =
+    List.init 20 (fun i ->
+        Pool.submit pool (fun () ->
+            log := i :: !log;
+            (Domain.self () :> int)))
+  in
+  Alcotest.(check (list int)) "nothing runs before it is awaited" [] !log;
+  Alcotest.(check (list int)) "every task ran on the awaiting domain"
+    (List.init 20 (fun _ -> self))
+    (List.map Pool.await promises);
+  Alcotest.(check (list int)) "in await order" (List.init 20 Fun.id)
+    (List.rev !log);
+  Alcotest.(check int) "a second await returns the stored value" self
+    (Pool.await (List.hd promises));
+  Alcotest.(check int) "run" 42 (Pool.run pool (fun () -> 6 * 7));
+  Alcotest.(check (list int)) "map keeps input order" [ 0; 2; 4 ]
+    (Pool.map pool (fun i -> 2 * i) [ 0; 1; 2 ]);
+  Pool.shutdown pool
+
+let zero_worker_raise () : int = raise (Failure "zero-worker boom")
+[@@inline never]
+
+let test_pool_zero_workers_exception () =
+  Printexc.record_backtrace true;
+  let pool = Pool.create ~jobs:0 in
+  let p = Pool.submit pool zero_worker_raise in
+  (match Pool.await p with
+   | _ -> Alcotest.fail "the task's exception was swallowed"
+   | exception Failure msg ->
+     let bt = Printexc.get_raw_backtrace () in
+     Alcotest.(check string) "message" "zero-worker boom" msg;
+     (* The innermost frame is the task's raise, not [await]'s
+        re-raise: the original backtrace travelled with the exception. *)
+     let innermost =
+       Option.bind (Printexc.backtrace_slots bt) (fun slots ->
+           Array.to_seq slots
+           |> Seq.find_map (fun slot ->
+               Option.map
+                 (fun l -> l.Printexc.filename)
+                 (Printexc.Slot.location slot)))
+     in
+     Alcotest.(check (option string))
+       (Printf.sprintf "innermost frame of\n%s"
+          (Printexc.raw_backtrace_to_string bt))
+       (Some "test/test_engine.ml") innermost);
+  Alcotest.check_raises "re-raised on every await"
+    (Failure "zero-worker boom") (fun () -> ignore (Pool.await p));
+  Alcotest.(check int) "the pool still runs tasks" 7
+    (Pool.run pool (fun () -> 7));
+  Pool.shutdown pool
+
+let test_pool_zero_workers_shutdown_drains () =
+  let pool = Pool.create ~jobs:0 in
+  let ran = ref [] in
+  let promises =
+    List.init 5 (fun i ->
+        Pool.submit pool (fun () ->
+            ran := i :: !ran;
+            i * 10))
+  in
+  Alcotest.(check int) "awaited one" 0 (Pool.await (List.hd promises));
+  Pool.shutdown pool;
+  Alcotest.(check (list int)) "shutdown ran every still-queued task once"
+    [ 0; 1; 2; 3; 4 ] (List.rev !ran);
+  Alcotest.(check (list int)) "their results are stored"
+    [ 0; 10; 20; 30; 40 ]
+    (List.map Pool.await promises);
+  Alcotest.(check (list int)) "awaiting after shutdown runs nothing again"
+    [ 0; 1; 2; 3; 4 ] (List.rev !ran);
+  Pool.shutdown pool (* idempotent *);
+  Alcotest.check_raises "submit after shutdown"
+    (Invalid_argument "Pool.submit: the pool is shut down") (fun () ->
+      ignore (Pool.submit pool (fun () -> ())))
 
 let test_pool_stress_mixed_failures () =
   (* A pool bombarded with interleaved failing and succeeding tasks
@@ -472,6 +553,51 @@ let test_batch_share_memo_unique_counts () =
     solo.Batch.merged.Analyzer.memo_unique_full
     r2.Batch.merged.Analyzer.memo_unique_full
 
+(* At [--jobs 1] both drivers run their pool without a worker domain;
+   a failure of the pool job itself (outside per-item isolation) must
+   still quarantine, with attempts 0, exactly as on a worker. *)
+let with_failpoint spec f =
+  Failpoint.set spec;
+  Fun.protect ~finally:Failpoint.clear f
+
+let test_batch_jobs1_pool_job_failure () =
+  let corpus =
+    corpus_of_programs
+      [
+        parse "for i = 1 to 9 do\n  a[i + 1] = a[i] + 1\nend";
+        parse "for i = 1 to 9 do\n  b[2 * i] = b[2 * i + 1]\nend";
+      ]
+  in
+  let r = with_failpoint "pool.job=raise@1" (fun () -> Batch.run ~jobs:1 corpus) in
+  Alcotest.(check int) "no item analyzed" 0 (List.length r.Batch.items);
+  Alcotest.(check (list (pair int int)))
+    "the whole chunk quarantined, attempts 0" [ (0, 0); (1, 0) ]
+    (List.map
+       (fun (q : Batch.quarantined) -> (q.Batch.q_index, q.Batch.q_attempts))
+       r.Batch.quarantined)
+
+let test_stream_jobs1_pool_job_failure () =
+  let outcomes = ref [] in
+  let summary =
+    with_failpoint "pool.job=raise@2" (fun () ->
+        Stream.run ~jobs:1
+          ~render:(fun o ->
+            outcomes := o :: !outcomes;
+            "")
+          ~emit:ignore
+          (Stream.of_fuzz ~profile:Dda_perfect.Fuzz.Small ~seed:5 4))
+  in
+  Alcotest.(check int) "one quarantined" 1 summary.Stream.quarantined;
+  Alcotest.(check (list string))
+    "only the second item, attempts 0"
+    [ "analyzed"; "quarantined after 0"; "analyzed"; "analyzed" ]
+    (List.rev_map
+       (function
+         | Stream.Analyzed _ -> "analyzed"
+         | Stream.Quarantined q ->
+           Printf.sprintf "quarantined after %d" q.attempts)
+       !outcomes)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "engine"
@@ -485,6 +611,12 @@ let () =
           Alcotest.test_case "jobs=1 is in-order sequential" `Quick
             test_pool_jobs1_sequential;
           Alcotest.test_case "shutdown" `Quick test_pool_shutdown;
+          Alcotest.test_case "jobs=0 runs tasks on the awaiting domain" `Quick
+            test_pool_zero_workers_on_caller;
+          Alcotest.test_case "jobs=0 re-raises with the backtrace" `Quick
+            test_pool_zero_workers_exception;
+          Alcotest.test_case "jobs=0 shutdown drains queued tasks" `Quick
+            test_pool_zero_workers_shutdown_drains;
           Alcotest.test_case "stress with mixed failures" `Quick
             test_pool_stress_mixed_failures;
         ] );
@@ -515,5 +647,12 @@ let () =
           qt prop_batch_deterministic;
           qt prop_batch_share_memo_verdicts;
           qt prop_batch_live_vs_merge_after;
+        ] );
+      ( "drivers",
+        [
+          Alcotest.test_case "batch --jobs 1: pool.job failure quarantines"
+            `Quick test_batch_jobs1_pool_job_failure;
+          Alcotest.test_case "stream --jobs 1: pool.job failure quarantines"
+            `Quick test_stream_jobs1_pool_job_failure;
         ] );
     ]

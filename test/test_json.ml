@@ -161,6 +161,107 @@ let test_leaf_printers () =
     [ (Analyzer.Flow, "flow"); (Analyzer.Anti, "anti"); (Analyzer.Output, "output");
       (Analyzer.Input, "input") ]
 
+(* ------------------------------------------------------------------ *)
+(* One schema, two sinks                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* [item_line] writes the report straight into a buffer from the same
+   field tables [report] builds its tree from; the two renderings must
+   agree to the byte. *)
+let check_item_line ?(extra = []) file (r : Analyzer.report) =
+  let tree = to_line (Obj ([ ("file", Str file); ("report", report r) ] @ extra)) in
+  let streamed = item_line ~file ~extra r in
+  if not (String.equal tree streamed) then
+    Alcotest.failf "%s: streamed line differs from the tree@.tree:     %s@.streamed: %s"
+      (String.escaped file) tree streamed
+
+let test_schema_corpora () =
+  let analyze text = Analyzer.analyze (Dda_lang.Parser.parse_program text) in
+  List.iter
+    (fun (spec : Dda_perfect.Programs.spec) ->
+      check_item_line ("perfect:" ^ spec.name) (analyze (Dda_perfect.Programs.source spec)))
+    Dda_perfect.Programs.all;
+  List.iter
+    (fun profile ->
+      for index = 0 to 299 do
+        let name =
+          Printf.sprintf "fuzz:%s:7:%d" (Dda_perfect.Fuzz.profile_name profile) index
+        in
+        check_item_line name (analyze (Dda_perfect.Fuzz.program profile ~seed:7 ~index))
+      done)
+    Dda_perfect.Fuzz.all_profiles;
+  (* A starved budget: degraded, inexact outcomes and a non-zero
+     degraded_pairs in the stats block. *)
+  let starved =
+    {
+      Analyzer.default_config with
+      limits = { Analyzer.default_config.limits with max_steps = Some 5 };
+    }
+  in
+  let r =
+    Analyzer.analyze ~config:starved
+      (Dda_lang.Parser.parse_program
+         (Dda_perfect.Programs.source (List.hd Dda_perfect.Programs.all)))
+  in
+  Alcotest.(check bool) "the starved report degrades" true
+    (r.Analyzer.stats.Analyzer.degraded_pairs > 0);
+  check_item_line "starved" r
+
+(* Every outcome shape, built by hand around one real pair. *)
+let test_schema_crafted () =
+  let base =
+    Analyzer.analyze
+      (Dda_lang.Parser.parse_program "for i = 1 to 10 do a[i + 1] = a[i] + 3 end")
+  in
+  let p = List.hd base.Analyzer.pair_reports in
+  let big = Dda_numeric.Zint.of_string "123456789012345678901234567890" in
+  let tested ?(dependent = true) ?(unknown = false) ?decided_by ?(directions = [])
+      ?distance ?degraded () =
+    Analyzer.Tested
+      { dependent; unknown; decided_by; directions; distance; implicit_bb = false; degraded }
+  in
+  let pairs =
+    List.map
+      (fun outcome -> { p with Analyzer.outcome })
+      [
+        Analyzer.Constant true;
+        Analyzer.Constant false;
+        Analyzer.Gcd_independent;
+        Analyzer.Assumed_dependent;
+        tested ~dependent:false ~decided_by:Cascade.T_svpc ();
+        tested ~unknown:true ~degraded:Budget.Steps
+          ~directions:[ [| Direction.Dany; Direction.Dany |] ] ();
+        tested ~unknown:true ~degraded:Budget.Deadline ();
+        tested ~decided_by:Cascade.T_fourier
+          ~directions:
+            [ [| Direction.Dlt; Direction.Deq |]; [| Direction.Dgt |]; [||] ]
+          ~distance:[| big; Dda_numeric.Zint.neg big; Dda_numeric.Zint.of_int (-3) |]
+          ();
+        tested ~distance:[||] ();
+      ]
+    @ [
+        {
+          p with
+          Analyzer.array_name = "q\"uo\\te\001";
+          loc1 = Dda_lang.Loc.make ~line:max_int ~col:min_int;
+          loc2 = Dda_lang.Loc.make ~line:(-1) ~col:0;
+          role1 = `Read;
+          self_pair = true;
+        };
+      ]
+  in
+  let stats = Analyzer.fresh_stats () in
+  stats.Analyzer.degraded_pairs <- 2;
+  stats.Analyzer.memo_hits_full <- -7;
+  let crafted = { Analyzer.pair_reports = pairs; stats } in
+  List.iter
+    (fun file -> check_item_line file crafted)
+    [ "plain.dd"; "with \"quotes\" and \\"; "ctl\000\001\n\r\t\x1f\x7f\xff"; "" ];
+  check_item_line "empty pair list" { base with Analyzer.pair_reports = [] };
+  check_item_line "with extras"
+    ~extra:[ ("verification", Obj [ ("errors", Int 0) ]); ("lint", List [ Str "x\n" ]) ]
+    base
+
 let () =
   Alcotest.run "json"
     [
@@ -176,4 +277,11 @@ let () =
           Alcotest.test_case "leaf printers" `Quick test_leaf_printers;
         ] );
       ("report", [ Alcotest.test_case "shape" `Quick test_report_shape ]);
+      ( "schema",
+        [
+          Alcotest.test_case "PERFECT, fuzz and starved reports" `Quick
+            test_schema_corpora;
+          Alcotest.test_case "crafted outcomes, distances and names" `Quick
+            test_schema_crafted;
+        ] );
     ]

@@ -349,6 +349,111 @@ let test_oracle_pair_enumeration () =
      That's 5. *)
   Alcotest.(check int) "pair count" 5 (List.length (Trace.all_site_pairs prog))
 
+(* ------------------------------------------------------------------ *)
+(* Front end vs the reference                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The array lexer and cursor parser against the list-based front end
+   they replaced ([Test_support.Ref_front]): the same tokens and
+   locations, the same AST (compared structurally, locations
+   included), and the same error — lexical or syntax, message and
+   location. Since both lex the whole input first, a lexical error
+   anywhere must win over an earlier syntax error in both. *)
+
+type 'a front_result =
+  | Done of 'a
+  | Lexical of string * Loc.t
+  | Syntax of string * Loc.t
+
+let run_front f src =
+  match f src with
+  | v -> Done v
+  | exception Lexer.Error (msg, loc) -> Lexical (msg, loc)
+  | exception Parser.Error (msg, loc) -> Syntax (msg, loc)
+
+let show_front = function
+  | Done _ -> "ok"
+  | Lexical (msg, loc) -> Printf.sprintf "lexical error at %s: %s" (Loc.to_string loc) msg
+  | Syntax (msg, loc) -> Printf.sprintf "syntax error at %s: %s" (Loc.to_string loc) msg
+
+let front_agrees src =
+  let tokens = run_front Lexer.tokenize src in
+  let ref_tokens = run_front Test_support.Ref_front.Lexer.tokenize src in
+  let ast = run_front Parser.parse_program src in
+  let ref_ast = run_front Test_support.Ref_front.Parser.parse_program src in
+  if tokens <> ref_tokens then
+    QCheck.Test.fail_reportf "tokens differ (%s vs reference %s) on:@.%S"
+      (show_front tokens) (show_front ref_tokens) src;
+  if ast <> ref_ast then
+    QCheck.Test.fail_reportf "parse differs (%s vs reference %s) on:@.%S"
+      (show_front ast) (show_front ref_ast) src;
+  true
+
+(* Sources: fuzzed programs of both profiles, seed-shifted PERFECT
+   programs, and any of those with 1 to 4 bytes from the whole 0x00 -
+   0xff range inserted at random offsets. *)
+let gen_front_source =
+  let open QCheck.Gen in
+  let fuzzed =
+    map3
+      (fun profile seed index -> Dda_perfect.Fuzz.program profile ~seed ~index)
+      (oneofl [ Dda_perfect.Fuzz.Small; Dda_perfect.Fuzz.Mixed ])
+      (int_bound 100_000) (int_bound 1_000)
+  in
+  let perfect =
+    map2
+      (fun (spec : Dda_perfect.Programs.spec) k ->
+        Dda_perfect.Programs.source { spec with seed = spec.seed + (7919 * k) })
+      (oneofl Dda_perfect.Programs.all)
+      (int_bound 3)
+  in
+  let insert src =
+    list_size (int_range 1 4) (pair (int_bound max_int) (map Char.chr (int_bound 255)))
+    >|= List.fold_left
+          (fun s (at, c) ->
+            let at = at mod (String.length s + 1) in
+            String.sub s 0 at ^ String.make 1 c ^ String.sub s at (String.length s - at))
+          src
+  in
+  let base = frequency [ (4, fuzzed); (1, perfect) ] in
+  frequency [ (1, base); (2, base >>= insert) ]
+
+let prop_front_matches_reference =
+  QCheck.Test.make ~name:"front end equals the reference (tokens, AST, errors)"
+    ~count:400
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_front_source)
+    front_agrees
+
+let test_front_error_precedence () =
+  List.iter
+    (fun (src, expect) ->
+      ignore (front_agrees src);
+      Alcotest.(check string) (String.escaped src) expect
+        (show_front (run_front Parser.parse_program src)))
+    [
+      (* A syntax error on line 1, a lexical one later: lexical wins. *)
+      ("for for\n a[i] = $", "lexical error at 2:9: unexpected character '$'");
+      ("a = = b\nc = 1 ! 2", "lexical error at 2:7: expected '=' after '!'");
+      ( "end\nx = 99999999999999999999999",
+        "lexical error at 2:28: integer literal out of range: 99999999999999999999999" );
+      ("a = (1\n# comment \255\n\000", "lexical error at 3:1: unexpected character '\000'");
+      (* No lexical error: the syntax error stands, at its token. *)
+      ("for i = 1 to do\nend", "syntax error at 1:14: expected an expression (found 'do')");
+      ("a[1] = 2 )", "syntax error at 1:10: expected a statement (found ')')");
+      ("a[1] = 2\n  end", "syntax error at 2:3: expected end of input (found 'end')");
+      ("x = 1\n\n  y", "syntax error at 3:4: expected '=' (found '<eof>')");
+      (* 17 and 18+ digits: the fast and the checked literal path. *)
+      ("x = 99999999999999999", "ok");
+      ("x = 4611686018427387903", "ok");
+      ("x = 4611686018427387904", "lexical error at 1:24: integer literal out of range: 4611686018427387904");
+    ]
+
+let test_front_perfect_sources () =
+  List.iter
+    (fun (spec : Dda_perfect.Programs.spec) ->
+      ignore (front_agrees (Dda_perfect.Programs.source spec)))
+    Dda_perfect.Programs.all
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "lang"
@@ -372,6 +477,14 @@ let () =
           qt prop_roundtrip;
           qt prop_parser_total;
           qt prop_parser_total_token_soup;
+        ] );
+      ( "front-end",
+        [
+          Alcotest.test_case "lexical errors win over syntax errors" `Quick
+            test_front_error_precedence;
+          Alcotest.test_case "PERFECT sources equal the reference" `Quick
+            test_front_perfect_sources;
+          qt prop_front_matches_reference;
         ] );
       ( "semant",
         [
