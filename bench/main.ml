@@ -221,18 +221,16 @@ let table6 () =
   List.iter
     (fun ((spec : Programs.spec), _) ->
        let src = Programs.source spec in
-       (* The front end: parsing, semantic checks and the optimizer. *)
+       (* The front end: parsing, semantic checks and [prepare] (the
+          optimizer, affine extraction and pair enumeration). *)
        let prepared, t_compile =
          time (fun () ->
              let prog = Parser.parse_program src in
              ignore (Semant.check prog);
-             Dda_passes.Pipeline.run prog)
+             Analyzer.prepare Analyzer.default_config prog)
        in
        let report, t_analyze =
-         time (fun () ->
-             Analyzer.analyze
-               ~config:{ Analyzer.default_config with Analyzer.run_pipeline = false }
-               prepared)
+         time (fun () -> Analyzer.analyze_sites prepared.Analyzer.pairs)
        in
        let pairs = report.Analyzer.stats.pairs in
        tot_a := !tot_a +. t_analyze;
@@ -256,12 +254,8 @@ let all_problem_pairs config =
      together with the exact analyzer's verdicts. *)
   List.concat_map
     (fun ((_ : Programs.spec), prog) ->
-       let prepared = Dda_passes.Pipeline.run prog in
-       let sites = Affine.extract ~symbolic:config.Analyzer.symbolic prepared in
-       let report =
-         Analyzer.analyze ~config:{ config with Analyzer.run_pipeline = false }
-           prepared
-       in
+       let { Analyzer.sites; pairs; _ } = Analyzer.prepare config prog in
+       let report = Analyzer.analyze_sites ~config pairs in
        let by_locs = Hashtbl.create 64 in
        List.iter
          (fun (r : Analyzer.pair_report) ->
@@ -372,8 +366,11 @@ let representative_system ?(seed = 7) category =
     if tries > 200 then failwith "no representative system found"
     else begin
       let src = Patterns.generate rng category in
-      let prog = Dda_passes.Pipeline.run (Parser.parse_program src) in
-      let sites = Affine.extract ~symbolic:false prog in
+      let { Analyzer.sites; _ } =
+        Analyzer.prepare
+          { Analyzer.default_config with Analyzer.symbolic = false }
+          (Parser.parse_program src)
+      in
       let candidates =
         let arr = Array.of_list sites in
         let out = ref [] in
@@ -645,17 +642,17 @@ let batch_parallel () =
   Printf.printf "  output byte-identical across jobs: %b\n" (f1 = f2 && f1 = f4);
   let _, s1 = measure ~share_memo:true 1 in
   let _, s4 = measure ~share_memo:true 4 in
-  Printf.printf "shared-session mode: jobs=1 %.1f ms, jobs=4 %.1f ms (%.2fx)\n"
+  Printf.printf "shared-memo mode: jobs=1 %.1f ms, jobs=4 %.1f ms (%.2fx)\n"
     (s1 *. 1e3) (s4 *. 1e3) (s1 /. s4)
 
 (* ------------------------------------------------------------------ *)
-(* --jobs scaling: live-shared tables vs merge-after sessions          *)
+(* --jobs scaling: live-shared tables at 1, 2 and 4 jobs               *)
 (* ------------------------------------------------------------------ *)
 
-(* Per job count: (jobs, live wall ms, live full-table hit rate,
-   merge-after wall ms, merge-after full-table hit rate). *)
+(* Per job count: (jobs, wall ms, full-table hit rate, gcd-table and
+   full-table distinct problems). *)
 let jobs_scaling_result :
-  (int * (int * float * float * float * float) list * bool) option ref =
+  (int * (int * float * float * int * int) list * bool) option ref =
   ref None
 
 (* Reports minus the memo counters: live sharing changes who hits (a
@@ -673,17 +670,17 @@ let verdict_fingerprint (r : Dda_engine.Batch.result) =
                  a.report.Dda_core.Analyzer.pair_reports))
        r.Dda_engine.Batch.items)
 
-(* The live-sharing claim, measured: at [--jobs n] the sharded tables
+(* The live-sharing oracle, measured: at [--jobs n] the sharded tables
    turn any cross-item repeat into a hit the moment one domain has
-   computed it, while the merge-after oracle only unions per-domain
-   sessions at the end — so its workers re-solve problems their
-   neighbours already finished. Wall clock and full-table hit rate per
-   mode per job count, plus a byte-identity check over every verdict. *)
+   computed it, and the run must give the verdicts and the
+   distinct-problem counts of the [--jobs 1] run. Wall clock, full-table
+   hit rate and distinct problems per job count, plus a byte-identity
+   check over every verdict. *)
 let jobs_scaling () =
   let cores = Domain.recommended_domain_count () in
   section
     (Printf.sprintf
-       "--jobs scaling: live-shared memo tables vs merge-after sessions\n\
+       "--jobs scaling: live-shared memo tables\n\
         (synthetic PERFECT Club replicated 8x; this machine reports\n\
         %d core(s) -- wall-clock scaling needs real cores)"
        cores);
@@ -698,20 +695,16 @@ let jobs_scaling () =
   let rows =
     List.map
       (fun jobs ->
-         let live, t_live =
+         let r, t =
            time (fun () -> Dda_engine.Batch.run ~share_memo:true ~jobs corpus)
          in
-         let merge, t_merge =
-           time (fun () ->
-               Dda_engine.Batch.run ~share_memo:true ~memo_merge_after:true
-                 ~jobs corpus)
-         in
-         fps := verdict_fingerprint merge :: verdict_fingerprint live :: !fps;
+         fps := verdict_fingerprint r :: !fps;
+         let merged = r.Dda_engine.Batch.merged in
          ( jobs,
-           t_live *. 1e3,
-           full_hit_rate live,
-           t_merge *. 1e3,
-           full_hit_rate merge ))
+           t *. 1e3,
+           full_hit_rate r,
+           merged.Analyzer.memo_unique_nobounds,
+           merged.Analyzer.memo_unique_full ))
       [ 1; 2; 4 ]
   in
   let identical =
@@ -719,26 +712,17 @@ let jobs_scaling () =
     | [] -> true
     | f :: rest -> List.for_all (String.equal f) rest
   in
-  Printf.printf "%d programs; full-table hit rates:\n" (List.length corpus);
-  Printf.printf "  %4s  %14s %9s  %15s %9s\n" "jobs" "live wall (ms)"
-    "hit rate" "merge wall (ms)" "hit rate";
+  Printf.printf "%d programs:\n" (List.length corpus);
+  Printf.printf "  %4s  %9s %9s  %10s %11s\n" "jobs" "wall (ms)" "hit rate"
+    "unique gcd" "unique full";
   List.iter
-    (fun (jobs, lw, lr, mw, mr) ->
-       Printf.printf "  %4d  %14.1f %8.2f%%  %15.1f %8.2f%%\n" jobs lw
-         (lr *. 100.) mw (mr *. 100.))
+    (fun (jobs, w, r, ug, uf) ->
+       Printf.printf "  %4d  %9.1f %8.2f%%  %10d %11d\n" jobs w (r *. 100.) ug uf)
     rows;
-  (match List.rev rows with
-   | (4, _, lr4, _, mr4) :: _ ->
-     Printf.printf
-       "  live-shared hit rate at jobs=4 %s merge-after (%.4f vs %.4f)\n"
-       (if lr4 > mr4 then "exceeds" else "does NOT exceed")
-       lr4 mr4
-   | _ -> ());
-  Printf.printf "  verdicts byte-identical across modes and job counts: %b\n"
-    identical;
+  Printf.printf "  verdicts byte-identical across job counts: %b\n" identical;
   if cores < 2 then
     print_endline
-      "  NOTE: single-core machine -- the wall-clock columns do not\n\
+      "  NOTE: single-core machine -- the wall-clock column does not\n\
       \  measure scaling here; hit rates and identity stay meaningful.";
   jobs_scaling_result := Some (cores, rows, identical)
 
@@ -1088,8 +1072,8 @@ let admin_overhead () =
     (if overhead_pct < 2.0 then "PASS < 2%" else "FAIL >= 2%");
   admin_overhead_result := Some (per_call_ns, overhead_pct)
 
-(* Corpus-wide memo hit rates, via the batch engine's shared session
-   (jobs=1 keeps the counters independent of chunking). *)
+(* Corpus-wide memo hit rates, via the batch engine's shared tables
+   (jobs=1 keeps the counters independent of scheduling). *)
 let memo_hit_rates () =
   let corpus =
     List.map
@@ -1237,14 +1221,14 @@ let results_json ~mode ~memo ~micro ~metrics ~trace =
                ( "runs",
                  Perf_json.List
                    (List.map
-                      (fun (jobs, lw, lr, mw, mr) ->
+                      (fun (jobs, w, r, ug, uf) ->
                          Perf_json.Obj
                            [
                              ("jobs", Perf_json.Num (float_of_int jobs));
-                             ("live_wall_ms", Perf_json.Num lw);
-                             ("live_full_hit_rate", Perf_json.Num lr);
-                             ("merge_wall_ms", Perf_json.Num mw);
-                             ("merge_full_hit_rate", Perf_json.Num mr);
+                             ("wall_ms", Perf_json.Num w);
+                             ("full_hit_rate", Perf_json.Num r);
+                             ("gcd_unique", Perf_json.Num (float_of_int ug));
+                             ("full_unique", Perf_json.Num (float_of_int uf));
                            ])
                       rows) );
              ] );
@@ -1254,8 +1238,8 @@ let results_json ~mode ~memo ~micro ~metrics ~trace =
    runs. Their allocation is gated by [alloc_threshold_pct], not by the
    threshold meant for noisy wall times. [jobs_scaling] counts only
    this domain's allocation (see [recorded]): the whole of its
-   [jobs = 1] runs, which analyze on this domain, and the merging of
-   the others. The chunking of items over workers is a function of the
+   [jobs = 1] run, which analyzes on this domain, and the merging of
+   the others' results. The chunking of items over workers is a function of the
    corpus length, so it repeats too.
    [warm_cache] is left out: its allocation moves by a few bytes from
    run to run (it works under a fresh temporary file name). *)

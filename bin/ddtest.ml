@@ -312,32 +312,32 @@ let pp_stats fmt (s : Analyzer.stats) =
 
 let print_stats s = Format.printf "%a" pp_stats s
 
+(* The paper's memoization across compilations: run [f] over the
+   durable memo store at [path], replaying what earlier runs under the
+   same configuration computed and appending what this run adds. A file
+   written under another configuration or build is set aside as
+   [path.rejected] and the run starts cold ({!Dda_cache.Store}). Appends
+   are not synced one by one; closing the store syncs them once. *)
+let with_memo_file ~config path f =
+  let durable, _ = Dda_cache.Durable.create ~path ~fsync:false ~config () in
+  Fun.protect
+    ~finally:(fun () -> Dda_cache.Durable.close durable)
+    (fun () -> f (Dda_cache.Durable.cache durable))
+
 let analyze_cmd =
   let run () file config stats memo_file format verify =
-    let prog = load file in
+    let prepared = Analyzer.prepare config (load file) in
     let report =
       match memo_file with
-      | None -> Analyzer.analyze ~config prog
+      | None -> Analyzer.analyze_sites ~config prepared.pairs
       | Some path ->
-        (* The paper's cross-compilation memoization: reuse a table
-           from a previous run and extend it for the next one. *)
-        let session =
-          if Sys.file_exists path then begin
-            let s = Analyzer.load_session path in
-            if Analyzer.session_config s <> config then
-              Dda_obs.Log.info
-                "%s was built under a different configuration; using the saved one"
-                path;
-            s
-          end
-          else Analyzer.create_session ~config ()
-        in
-        let report = Analyzer.analyze_session session prog in
-        Analyzer.save_session session path;
-        report
+        with_memo_file ~config path (fun cache ->
+            Analyzer.analyze_sites ~config ~cache prepared.pairs)
     in
     let verification =
-      if verify then Some (Dda_check.Verify.run ~config prog) else None
+      if verify then
+        Some (Dda_check.Verify.verify_report ~config prepared.pairs report)
+      else None
     in
     (match format with
      | `Text ->
@@ -374,8 +374,11 @@ let analyze_cmd =
       & opt (some string) None
       & info [ "memo-file" ] ~docv:"FILE"
           ~doc:
-            "Persist the memoization tables across runs: load $(docv) if it \
-             exists, save back after analyzing.")
+            "Persist the memoization tables across runs in the durable \
+             cache format of $(b,serve --cache): replay $(docv) if it \
+             exists, append what this run computes. A file written under \
+             other analysis flags (or by another build) is set aside as \
+             $(docv).rejected and the run starts cold.")
   in
   let format =
     Arg.(
@@ -581,17 +584,13 @@ let batch_cmd =
     if summary.Dda_engine.Stream.quarantined > 0 then exit 3
     else if summary.Dda_engine.Stream.verify_errors > 0 then exit 2
   in
-  let run () files jobs share_memo memo_merge_after verify lint retries
+  let run () files jobs share_memo verify lint retries
       backoff_ms item_timeout_ms config format stream journal resume fuzz
       fuzz_seed fuzz_profile perfect amplify =
     let streaming =
       stream || journal <> None || resume || fuzz > 0 || perfect || amplify > 1
     in
     if streaming then begin
-      if memo_merge_after then
-        failwith
-          "--memo-merge-after is incompatible with streaming: there are no \
-           per-chunk sessions to merge (live sharing via --share-memo works)";
       run_stream ~files ~jobs ~share_memo ~verify ~lint ~retries ~backoff_ms
         ~item_timeout_ms ~config ~format ~journal ~resume ~fuzz ~fuzz_seed
         ~fuzz_profile ~perfect ~amplify
@@ -602,7 +601,7 @@ let batch_cmd =
       List.map (fun f -> { Dda_engine.Batch.name = f; program = load f }) files
     in
     let result =
-      Dda_engine.Batch.run ~config ~share_memo ~memo_merge_after ~verify ~lint
+      Dda_engine.Batch.run ~config ~share_memo ~verify ~lint
         ~retries ~backoff_ms ?item_timeout_ms ~jobs items
     in
     (* Successes and quarantined items interleaved back in input order. *)
@@ -711,10 +710,10 @@ let batch_cmd =
                    ( "memo_tables",
                      Json_out.Obj [ ("gcd", table gcd); ("full", table full) ] );
                  ])
-            (* Registry counters are jobs-invariant (each is a pure
-               function of the per-item work), so embedding them keeps
-               the JSON byte-identical across --jobs values. *)
-            @ [ ("metrics", Json_out.metrics (Dda_obs.Metrics.snapshot ())) ]
+            (* Jobs-invariant registry (failpoint counters left out), so
+               embedding it keeps the JSON byte-identical across --jobs
+               values. *)
+            @ [ ("metrics", Json_out.metrics (Dda_engine.Batch.metrics ())) ]
             @
             if result.Dda_engine.Batch.retried = 0 && nquarantined = 0 then []
             else
@@ -764,17 +763,6 @@ let batch_cmd =
              worker domain for the whole corpus (faster; verdicts are \
              unchanged, but memo hit counters then depend on cross-domain \
              timing when $(b,--jobs) > 1).")
-  in
-  let memo_merge_after_arg =
-    Arg.(
-      value & flag
-      & info [ "memo-merge-after" ]
-          ~doc:
-            "With $(b,--share-memo): instead of live sharing, give each \
-             domain a private memoization session and merge the tables after \
-             the run (the pre-live behavior, kept as a differential oracle; \
-             deterministic hit counters for a fixed $(b,--jobs), but \
-             cross-domain repeats are recomputed).")
   in
   let verify_arg =
     Arg.(
@@ -916,7 +904,7 @@ let batch_cmd =
           resumed ($(b,--resume)) after a crash.")
     Term.(
       const run $ obs_term $ files_arg $ jobs_arg $ share_memo_arg
-      $ memo_merge_after_arg $ verify_arg $ lint_arg $ retries_arg
+      $ verify_arg $ lint_arg $ retries_arg
       $ backoff_arg $ timeout_arg $ config_term $ format $ stream_arg
       $ journal_arg $ resume_arg $ fuzz_arg $ fuzz_seed_arg $ fuzz_profile_arg
       $ perfect_arg $ amplify_arg)
@@ -1004,10 +992,8 @@ let fuzz_cmd =
 
 let parallel_cmd =
   let run file config =
-    let prog = load file in
-    let prepared = if config.Analyzer.run_pipeline then Dda_passes.Pipeline.run prog else prog in
-    let sites = Affine.extract ~symbolic:config.Analyzer.symbolic prepared in
-    let report = Analyzer.analyze ~config:{ config with Analyzer.run_pipeline = false } prepared in
+    let { Analyzer.sites; pairs; _ } = Analyzer.prepare config (load file) in
+    let report = Analyzer.analyze_sites ~config pairs in
     let verdicts = Analyzer.parallel_loops report sites in
     let names = Affine.loop_table sites in
     List.iter
@@ -1073,10 +1059,9 @@ let perfect_cmd =
 
 let graph_cmd =
   let run file =
-    let prog = load file in
-    let prepared = Dda_passes.Pipeline.run prog in
-    let sites = Affine.extract prepared in
-    let arr = Array.of_list sites in
+    let arr =
+      Array.of_list (Analyzer.prepare Analyzer.default_config (load file)).sites
+    in
     let printed = ref 0 in
     for i = 0 to Array.length arr - 1 do
       for j = i + 1 to Array.length arr - 1 do
@@ -1146,13 +1131,8 @@ let transform_cmd =
            | _ -> Analyzer.Memo_simple);
       }
     in
-    let prepared =
-      if config.Analyzer.run_pipeline then Dda_passes.Pipeline.run prog else prog
-    in
-    let sites = Affine.extract ~symbolic:config.Analyzer.symbolic prepared in
-    let report =
-      Analyzer.analyze ~config:{ config with Analyzer.run_pipeline = false } prepared
-    in
+    let { Analyzer.sites; pairs; _ } = Analyzer.prepare config prog in
+    let report = Analyzer.analyze_sites ~config pairs in
     let table = Affine.loop_table sites in
     let loops = List.map fst table in
     let name lid = Option.value (List.assoc_opt lid table) ~default:"?" in
@@ -1228,14 +1208,10 @@ let cc_cmd =
 
 let annotate_cmd =
   let run file config =
-    let prog = load file in
-    let prepared =
-      if config.Analyzer.run_pipeline then Dda_passes.Pipeline.run prog else prog
+    let { Analyzer.program = prepared; sites; pairs } =
+      Analyzer.prepare config (load file)
     in
-    let sites = Affine.extract ~symbolic:config.Analyzer.symbolic prepared in
-    let report =
-      Analyzer.analyze ~config:{ config with Analyzer.run_pipeline = false } prepared
-    in
+    let report = Analyzer.analyze_sites ~config pairs in
     let verdicts = Analyzer.parallel_loops report sites in
     (* Re-number loops in pre-order while printing, mirroring the
        extractor's numbering. *)
@@ -1452,24 +1428,30 @@ let lint_cmd =
 
 let prime_cmd =
   let run out config =
-    let session = Analyzer.create_session ~config () in
-    List.iter
-      (fun (spec : Dda_perfect.Programs.spec) ->
-         let prog = Parser.parse_program (Dda_perfect.Programs.source spec) in
-         ignore (Analyzer.analyze_session session prog))
-      Dda_perfect.Programs.all;
-    Analyzer.save_session session out;
+    with_memo_file ~config out (fun cache ->
+        List.iter
+          (fun (spec : Dda_perfect.Programs.spec) ->
+             let prog = Parser.parse_program (Dda_perfect.Programs.source spec) in
+             ignore (Analyzer.analyze ~config ~cache prog))
+          Dda_perfect.Programs.all);
     Format.printf "primed %s from the 13 synthetic PERFECT programs@." out
   in
   let out_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:"Output memo file.")
+    Arg.(
+      required
+      & pos 0 (some string) None
+      & info [] ~docv:"FILE"
+          ~doc:
+            "Memo file to fill, in the durable cache format (extended when \
+             it already holds a table built under the same flags; set \
+             aside as $(docv).rejected when built under others).")
   in
   Cmd.v
     (Cmd.info "prime"
        ~doc:
          "The paper's \"standard table\" idea: analyze the whole benchmark \
           suite once and save the memo tables for later compilations \
-          (use with analyze --memo-file)")
+          (use with analyze --memo-file and the same analysis flags)")
     Term.(const run $ out_arg $ config_term)
 
 (* ------------------------------------------------------------------ *)

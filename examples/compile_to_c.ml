@@ -12,13 +12,10 @@ let () =
   let kernel = Option.get (Dda_perfect.Kernels.find "matmul") in
   print_endline ("# kernel: " ^ kernel.name);
   print_endline kernel.source;
-  let prog = Dda_passes.Pipeline.run (Parser.parse_program kernel.source) in
-  let sites = Affine.extract prog in
-  let report =
-    Analyzer.analyze
-      ~config:{ Analyzer.default_config with Analyzer.run_pipeline = false }
-      prog
+  let { Analyzer.program = prog; sites; pairs } =
+    Analyzer.prepare Analyzer.default_config (Parser.parse_program kernel.source)
   in
+  let report = Analyzer.analyze_sites pairs in
   let parallel = Analyzer.parallel_loops report sites in
   let names = Affine.loop_table sites in
   List.iter

@@ -39,11 +39,10 @@ let () =
   List.iter
     (fun (name, src) ->
        Format.printf "== %s ==@." name;
-       let program = Parser.parse_program src in
-       let prepared = Dda_passes.Pipeline.run program in
-       let sites = Affine.extract prepared in
-       let config = { Analyzer.default_config with Analyzer.run_pipeline = false } in
-       let report = Analyzer.analyze ~config prepared in
+       let { Analyzer.sites; pairs; _ } =
+         Analyzer.prepare Analyzer.default_config (Parser.parse_program src)
+       in
+       let report = Analyzer.analyze_sites pairs in
        let names = Affine.loop_table sites in
        List.iter
          (fun (lid, parallel) ->

@@ -44,9 +44,10 @@ let () =
   List.iter
     (fun (title, src) ->
        Format.printf "== %s ==@." title;
-       let prog = Parser.parse_program src in
-       let sites = Affine.extract prog in
-       let report = Analyzer.analyze ~config prog in
+       let { Analyzer.sites; pairs; _ } =
+         Analyzer.prepare config (Parser.parse_program src)
+       in
+       let report = Analyzer.analyze_sites ~config pairs in
        let table = Affine.loop_table sites in
        let loops = List.map fst table in
        let name lid = List.assoc lid table in

@@ -133,10 +133,11 @@ let check_annotations (summary : Summary.t) =
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let of_report ?(config = Analyzer.default_config) ?cancel ~prepared ~sites
-    report =
-  let pairs = Analyzer.site_pairs config sites in
-  let summary = Summary.compute ~config ?cancel ~prepared ~pairs report in
+let of_report ?(config = Analyzer.default_config) ?cancel
+    (p : Analyzer.prepared) report =
+  let summary =
+    Summary.compute ~config ?cancel ~prepared:p.program ~pairs:p.pairs report
+  in
   let findings = check_annotations summary in
   let errors =
     List.length
@@ -144,16 +145,19 @@ let of_report ?(config = Analyzer.default_config) ?cancel ~prepared ~sites
   in
   let warnings = List.length findings - errors in
   record_metrics summary ~errors ~warnings;
-  { prepared; sites; report; summary; findings; errors; warnings }
+  {
+    prepared = p.program;
+    sites = p.sites;
+    report;
+    summary;
+    findings;
+    errors;
+    warnings;
+  }
 
 let run ?(config = Analyzer.default_config) ?cancel prog =
-  let prepared =
-    if config.Analyzer.run_pipeline then Dda_passes.Pipeline.run prog else prog
-  in
-  let sites = Affine.extract ~symbolic:config.Analyzer.symbolic prepared in
-  let pairs = Analyzer.site_pairs config sites in
-  let report = Analyzer.analyze_sites ~config ?cancel pairs in
-  of_report ~config ?cancel ~prepared ~sites report
+  let p = Analyzer.prepare config prog in
+  of_report ~config ?cancel p (Analyzer.analyze_sites ~config ?cancel p.pairs)
 
 (* ------------------------------------------------------------------ *)
 (* Text                                                                *)

@@ -34,25 +34,21 @@ type result = {
 
 val run :
   ?config:Analyzer.config -> ?cancel:(unit -> bool) -> Ast.program -> result
-(** Pipeline prepass (per [config.run_pipeline]), affine extraction,
-    pair analysis, {!Summary.compute}, annotation checking. Also bumps
-    the [lint.*] counters in the {!Dda_obs.Metrics} registry — once
-    per call, a pure function of the input, so batch metrics stay
-    jobs-invariant. *)
+(** {!Analyzer.prepare}, pair analysis, {!Summary.compute}, annotation
+    checking. Also bumps the [lint.*] counters in the {!Dda_obs.Metrics}
+    registry — once per call, a pure function of the input, so batch
+    metrics stay jobs-invariant. *)
 
 val of_report :
   ?config:Analyzer.config ->
   ?cancel:(unit -> bool) ->
-  prepared:Ast.program ->
-  sites:Affine.site list ->
+  Analyzer.prepared ->
   Analyzer.report ->
   result
 (** Lint a report that was already produced elsewhere (the batch and
-    streaming engines, which have their own analysis loop): [prepared]
-    and [sites] must be the pipeline output and affine extraction the
-    report was computed from, so the report's pair order matches the
-    analyzer's own enumeration ({!Analyzer.site_pairs}). Metrics are
-    bumped exactly as in {!run}. *)
+    streaming engines, which have their own analysis loop): the report
+    must have been computed from the prepared program's [pairs], in
+    order. Metrics are bumped exactly as in {!run}. *)
 
 val to_text : file:string -> result -> string
 (** Per-loop verdict lines, findings as

@@ -433,12 +433,7 @@ let verify_report ?(cancel = fun () -> false) ?(oracle = true)
   }
 
 let run ?(config = Analyzer.default_config) ?cancel ?oracle ?corrupt program =
-  let prepared =
-    if config.Analyzer.run_pipeline then Dda_passes.Pipeline.run program
-    else program
-  in
-  let sites = Affine.extract ~symbolic:config.Analyzer.symbolic prepared in
-  let pairs = Analyzer.site_pairs config sites in
+  let pairs = (Analyzer.prepare config program).pairs in
   let report = Analyzer.analyze_sites ~config ?cancel pairs in
   verify_report ?cancel ?oracle ?corrupt ~config pairs report
 

@@ -249,7 +249,8 @@ type cache = {
       (* push write-through state to stable storage; no-op in memory *)
 }
 
-let table_cache gcd_table full_table =
+let memory_cache () =
+  let gcd_table = Memo_table.create () and full_table = Memo_table.create () in
   {
     find_or_add_gcd = Memo_table.find_or_add gcd_table;
     find_or_add_full = Memo_table.find_or_add full_table;
@@ -258,12 +259,9 @@ let table_cache gcd_table full_table =
     cache_flush = (fun () -> ());
   }
 
-let memory_cache () = table_cache (Memo_table.create ()) (Memo_table.create ())
-
 (* Live cross-domain sharing: one pair of lock-striped tables that
    every worker queries during the run, so a repeat landing on a
-   different domain is a hit instead of a recomputation that only a
-   post-run merge would have deduplicated. *)
+   different domain is a hit instead of a recomputation. *)
 type shared = {
   sh_gcd : Gcd_test.outcome Sharded_table.t;
   sh_full : memo_value Sharded_table.t;
@@ -323,8 +321,8 @@ type state = {
   cache : cache;
   cancel : unit -> bool;
       (* cooperative watchdog (e.g. the batch engine's per-item
-         deadline); deliberately outside [config], which is marshaled
-         into sessions and compared structurally *)
+         deadline); deliberately outside [config], which is pure data
+         fingerprinted by durable caches *)
 }
 
 let m_pairs = Dda_obs.Metrics.counter "analyzer.pairs"
@@ -649,9 +647,9 @@ let analyze_sites ?(config = default_config) ?cancel ?cache pairs =
   let st = fresh_state ?cancel ?cache config in
   (* Lookups/hits are reported as this call's delta: with the default
      fresh in-memory cache the snapshot is zero and the delta is the
-     absolute count, but a caller-supplied cache (the serve daemon's
-     durable one) carries counters from earlier queries. Unique counts
-     stay absolute, as in sessions. *)
+     absolute count, but a caller-supplied cache (one carried across
+     calls, or the serve daemon's durable one) carries counters from
+     earlier queries. Unique counts stay absolute: the table's size. *)
   let gcd0, full0 = st.cache.cache_stats () in
   let reports = List.map (fun (s1, s2) -> analyze_pair st s1 s2) pairs in
   finalize st;
@@ -664,127 +662,26 @@ let analyze_sites ?(config = default_config) ?cancel ?cache pairs =
   st.stats.memo_hits_full <- st.stats.memo_hits_full - full0.Memo_table.hits;
   { pair_reports = reports; stats = st.stats }
 
-let analyze ?(config = default_config) ?cancel ?cache program =
-  let program = if config.run_pipeline then Dda_passes.Pipeline.run program else program in
-  let sites = Affine.extract ~symbolic:config.symbolic program in
-  analyze_sites ~config ?cancel ?cache (site_pairs config sites)
-
-(* ------------------------------------------------------------------ *)
-(* Sessions: memoization across compilations                          *)
-(* ------------------------------------------------------------------ *)
-
-type session = {
-  (* The session owns its raw tables (they are what [save_session]
-     marshals and [merge_sessions] unions); [session_state] wraps them
-     in a {!table_cache}. *)
-  s_gcd : Gcd_test.outcome Memo_table.t;
-  s_full : memo_value Memo_table.t;
-  mutable session_state : state;
+type prepared = {
+  program : Ast.program;
+  sites : Affine.site list;
+  pairs : (Affine.site * Affine.site) list;
 }
 
-let session_of_tables ?(cancel = fun () -> false) cfg gcd full =
-  {
-    s_gcd = gcd;
-    s_full = full;
-    session_state = fresh_state ~cancel ~cache:(table_cache gcd full) cfg;
-  }
-
-let create_session ?(config = default_config) () =
-  session_of_tables config (Memo_table.create ()) (Memo_table.create ())
-
-let session_config s = s.session_state.cfg
-
-let analyze_session ?cancel session program =
-  (* Fresh per-call statistics, shared memo tables; the watchdog is
-     per-call, so it never outlives the query it guards. *)
-  let st =
-    {
-      session.session_state with
-      stats = fresh_stats ();
-      cancel =
-        (match cancel with
-         | Some c -> c
-         | None -> session.session_state.cancel);
-    }
+let prepare config program =
+  let program =
+    if config.run_pipeline then Dda_passes.Pipeline.run program else program
   in
-  (* Snapshot the table counters rather than resetting them: the
-     report's memo statistics are the per-call delta, while the tables
-     keep session-lifetime counts for {!session_table_stats} (the batch
-     engine's corpus-wide hit rates). *)
-  let gcd_lookups0 = Memo_table.lookups session.s_gcd
-  and gcd_hits0 = Memo_table.hits session.s_gcd
-  and full_lookups0 = Memo_table.lookups session.s_full
-  and full_hits0 = Memo_table.hits session.s_full in
-  session.session_state <- st;
-  let config = st.cfg in
-  let program = if config.run_pipeline then Dda_passes.Pipeline.run program else program in
   let sites = Affine.extract ~symbolic:config.symbolic program in
-  let reports =
-    List.map (fun (s1, s2) -> analyze_pair st s1 s2) (site_pairs config sites)
-  in
-  finalize st;
-  st.stats.memo_lookups_nobounds <- st.stats.memo_lookups_nobounds - gcd_lookups0;
-  st.stats.memo_hits_nobounds <- st.stats.memo_hits_nobounds - gcd_hits0;
-  st.stats.memo_lookups_full <- st.stats.memo_lookups_full - full_lookups0;
-  st.stats.memo_hits_full <- st.stats.memo_hits_full - full_hits0;
-  { pair_reports = reports; stats = st.stats }
+  { program; sites; pairs = site_pairs config sites }
 
-(* On-disk format: a magic string, a format version, then the marshaled
-   (config, gcd table, full table). Keys are config-dependent, so a
-   session only reloads under the configuration that built it. *)
-let session_magic = "dda-session"
+let analyze ?(config = default_config) ?cancel ?cache program =
+  analyze_sites ~config ?cancel ?cache (prepare config program).pairs
 
 (* Version 2: [config] grew the [limits] field (budget caps).
    Version 3: memo keys became [int array] and entries store their
    hash, changing the marshaled table layout. *)
-let session_version = 3
-
-(* The durable cache marshals the same key/value types the session
-   format does, so its compatibility fingerprint tracks the same
-   version number. *)
-let memo_format_version = session_version
-
-let merge_sessions ~into src =
-  if into == src then
-    invalid_arg "Analyzer.merge_sessions: a session cannot absorb itself";
-  if into.session_state.cfg <> src.session_state.cfg then
-    invalid_arg "Analyzer.merge_sessions: sessions built under different configurations";
-  Memo_table.merge_into ~into:into.s_gcd src.s_gcd;
-  Memo_table.merge_into ~into:into.s_full src.s_full
-
-let session_table_sizes session =
-  (Memo_table.length session.s_gcd, Memo_table.length session.s_full)
-
-let session_table_stats session =
-  (Memo_table.stats session.s_gcd, Memo_table.stats session.s_full)
-
-let save_session session path =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-       output_string oc session_magic;
-       output_binary_int oc session_version;
-       Marshal.to_channel oc
-         (session.session_state.cfg, session.s_gcd, session.s_full)
-         [])
-
-let load_session path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-       let magic = really_input_string ic (String.length session_magic) in
-       if not (String.equal magic session_magic) then
-         failwith "Analyzer.load_session: not a saved session";
-       let version = input_binary_int ic in
-       if version <> session_version then
-         failwith "Analyzer.load_session: unsupported session version";
-       let cfg, gcd_table, full_table =
-         (Marshal.from_channel ic
-          : config * Gcd_test.outcome Memo_table.t * memo_value Memo_table.t)
-       in
-       session_of_tables cfg gcd_table full_table)
+let memo_format_version = 3
 
 (* ------------------------------------------------------------------ *)
 (* Parallel-loop client                                                *)

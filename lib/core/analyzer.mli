@@ -33,8 +33,8 @@ type config = {
   limits : Budget.limits;
       (** per-query resource caps; exhaustion degrades to a flagged
           assumed-dependent verdict, never an exception or a hang.
-          Pure data (no callbacks): the config is marshaled into
-          sessions — pass a watchdog via [?cancel] instead. *)
+          Pure data (no callbacks): durable caches fingerprint the
+          config — pass a watchdog via [?cancel] instead. *)
 }
 
 val default_config : config
@@ -147,9 +147,9 @@ val merge_stats : into:stats -> stats -> unit
     first, {!Direction.counts} included. Memo counters are summed too:
     when each record comes from an independent analysis (its own memo
     tables), the sums are the corpus totals; when records share a
-    session, sum the per-call lookups/hits but take unique-entry counts
-    from the session's tables (see {!session_table_sizes}), since each
-    per-call value is already cumulative. *)
+    cache, sum the per-call lookups/hits but take unique-entry counts
+    from the cache's tables, since each per-call value is already
+    cumulative. *)
 
 val stats_to_list : stats -> int list
 (** Every field flattened into a fixed-order integer list — a stable,
@@ -170,8 +170,9 @@ type report = {
     The analyzer is a pure query layer over this interface: every
     memoized lookup (the bounds-free gcd table and the full canonical
     table) goes through one [cache] record, so the backend can be a
-    pair of fresh in-process tables (the default), a session's shared
-    tables, or a write-through durable store with a mutex around it
+    pair of fresh in-process tables (the default), a cache carried from
+    one call to the next — the paper's memoization across compilations
+    — or a write-through durable store with a mutex around it
     ([Dda_cache]). Keys are the canonical problem keys
     ({!Problem.to_key} / {!Problem.key_without_bounds}); whoever
     persists them must fingerprint the {!config} and
@@ -202,10 +203,8 @@ val memory_cache : unit -> cache
 
 type shared
 (** One gcd + one full lock-striped {!Sharded_table} pair, safe to
-    query live from every worker domain of a parallel run. This is the
-    live-sharing alternative to per-domain sessions merged after the
-    fact: a cross-item repeat is a hit the moment any domain has
-    computed it. *)
+    query live from every worker domain of a parallel run: a cross-item
+    repeat is a hit the moment any domain has computed it. *)
 
 val create_shared : ?stripes:int -> unit -> shared
 
@@ -236,41 +235,31 @@ val shared_contended : shared -> int
     the live-sharing cost signal ([memo.stripe.contended]). *)
 
 val memo_format_version : int
-(** Version of the marshaled memo key/value representation (the same
-    number the session file format carries). Durable cache backends
-    include it in their header fingerprint: a cache written by an
-    incompatible build must read as a cold start, never as data. *)
+(** Version of the marshaled memo key/value representation. Durable
+    cache backends include it in their header fingerprint: a cache
+    written by an incompatible build must read as a cold start, never
+    as data. *)
 
-val analyze :
-  ?config:config -> ?cancel:(unit -> bool) -> ?cache:cache -> Ast.program -> report
-(** Analyze a whole program. Pairs are every (textually ordered) pair
-    of same-array references with at least one write, including each
-    write against itself (whose identical-iteration solution is
-    excluded, so a self pair is dependent only when distinct iterations
-    collide).
+type prepared = {
+  program : Ast.program;
+      (** the optimizer prepass's output when [run_pipeline], else the
+          input program *)
+  sites : Affine.site list;  (** its affine extraction, per [symbolic] *)
+  pairs : (Affine.site * Affine.site) list;  (** {!site_pairs} of [sites] *)
+}
 
-    Domain safety: every piece of mutable state ([stats], memo tables,
-    pass-internal accumulators) lives in values created per call or per
-    session — the analyzer keeps no module-level mutable globals — so
-    concurrent [analyze] calls, and [analyze_session] calls on
-    {e distinct} sessions, are safe from different domains. A single
-    session must not be shared across domains; cross-domain sharing
-    goes through a {!shared} cache ([Dda_engine.Batch]'s live mode),
-    or each domain gets its own session merged afterwards (the
-    merge-after oracle mode).
-
-    [cancel] is a cooperative watchdog polled by the per-query budget
-    every few dozen solver steps; returning [true] degrades the current
-    pair (reason [Deadline]) and every later one. The batch engine uses
-    it to bound per-item wall time without killing domains. *)
+val prepare : config -> Ast.program -> prepared
+(** Everything before dependence testing: the prepass, extraction and
+    pair enumeration {!analyze} runs. Callers that need the sites or
+    the pairs too (verification, linting, loop tables) prepare once
+    and call {!analyze_sites} on [pairs]. *)
 
 val site_pairs :
   config -> Affine.site list -> (Affine.site * Affine.site) list
-(** The pair enumeration {!analyze} performs after extraction: every
+(** The pair enumeration {!prepare} performs after extraction: every
     textually ordered pair of same-array references with at least one
     write (self pairs only for writes, and only when [directions] is
-    on), filtered by [within_nest_only]. Exposed so the verification
-    layer can replay the analyzer's work pair by pair.
+    on), filtered by [within_nest_only].
 
     The result is in lexicographic order of the sites' (i, j) positions
     in the input list, exactly as an all-pairs scan would produce it,
@@ -284,63 +273,38 @@ val analyze_sites :
   ?cache:cache ->
   (Affine.site * Affine.site) list ->
   report
-(** Analyze explicit site pairs (used by the benchmark harness, which
-    generates problems directly, and by the verifier). *)
+(** Analyze explicit site pairs, in order — normally a {!prepared}'s
+    [pairs]; the benchmark harness also generates problems directly.
 
-(** {1 Sessions: memoization across compilations}
-
-    The paper suggests storing the hash table across compilations to
-    eliminate the dependence cost of incremental recompilation, or even
-    priming a standard table from a benchmark suite. A session carries
-    the memo tables from one [analyze] call to the next and can be
-    saved to and loaded from disk. *)
-
-type session
-
-val create_session : ?config:config -> unit -> session
-val session_config : session -> config
-
-val analyze_session : ?cancel:(unit -> bool) -> session -> Ast.program -> report
-(** Like {!analyze}, but reusing (and extending) the session's memo
-    tables. The report's memo statistics are per-call; table sizes are
-    cumulative. [cancel] applies to this call only. Note that degraded
+    The report's memo lookups and hits are this call's delta of the
+    cache's counters; its unique counts are the cache's current sizes.
+    So a {!memory_cache} carried from one call to the next is the
+    paper's memoization across compilations: later calls hit on what
+    earlier ones computed, and report their own traffic. Degraded
     verdicts are memoized like any other (they are deterministic under
     the step/row/coefficient caps); a [Deadline]-degraded verdict,
-    however, depends on wall time, so sharing sessions across runs with
-    watchdogs can cache a verdict a later run would have refined. *)
+    however, depends on wall time, so a cache carried across runs with
+    watchdogs can hold a verdict a later run would have refined.
 
-val merge_sessions : into:session -> session -> unit
-(** Absorb the second session's memo tables into the first
-    ({!Memo_table.merge_into} on both tables): keys are unioned, the
-    first session's bindings win on overlap, counters are summed. The
-    parallel batch engine uses this to combine per-domain sessions into
-    one corpus-wide table; it is equally useful for merging primed
-    tables built from different suites.
-    @raise Invalid_argument when the sessions were built under
-    different configurations (their memo keys are not comparable), or
-    when both arguments are the same session. *)
+    Domain safety: every piece of mutable state ([stats], memo tables,
+    pass-internal accumulators) lives in values created per call or
+    in the cache — the analyzer keeps no module-level mutable globals —
+    so concurrent calls over distinct caches are safe from different
+    domains. A {!memory_cache} must not be shared across domains;
+    cross-domain sharing goes through a {!shared} cache.
 
-val session_table_sizes : session -> int * int
-(** [(gcd_entries, full_entries)]: distinct problems currently stored
-    in the session's two memo tables. *)
+    [cancel] is a cooperative watchdog polled by the per-query budget
+    every few dozen solver steps; returning [true] degrades the current
+    pair (reason [Deadline]) and every later one. The batch engine uses
+    it to bound per-item wall time without killing domains. *)
 
-val session_table_stats : session -> Memo_table.stats * Memo_table.stats
-(** [(gcd_stats, full_stats)]: full {!Memo_table.stats} snapshots
-    (entries, bucket count, lifetime lookups and hits) for the
-    session's two memo tables. After {!merge_sessions} the counters
-    cover every absorbed session, so the batch engine can report
-    corpus-wide hit rates. *)
-
-val save_session : session -> string -> unit
-(** Persist the session's memo tables. *)
-
-val load_session : string -> session
-(** Restores the tables {e and the configuration they were built
-    under} (memo keys are config-dependent, so the two travel
-    together); check {!session_config} if a particular setup is
-    required.
-    @raise Failure when the file is not a saved session or has an
-    unsupported version. *)
+val analyze :
+  ?config:config -> ?cancel:(unit -> bool) -> ?cache:cache -> Ast.program -> report
+(** [analyze_sites] over [(prepare config program).pairs]. Pairs are
+    every (textually ordered) pair of same-array references with at
+    least one write, including each write against itself (whose
+    identical-iteration solution is excluded, so a self pair is
+    dependent only when distinct iterations collide). *)
 
 val parallel_loops : report -> Affine.site list -> (int * bool) list
 (** For each loop id occurring in the sites: is the loop parallelizable

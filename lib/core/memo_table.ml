@@ -63,10 +63,7 @@ let find_entry (t : _ t) key h =
 
 (* Lookups and hits are per-query events, so the process-wide counters
    stay jobs-invariant (each pair performs the same lookups whatever
-   worker runs it). Merges are *not* counted: the number of session
-   merges is a function of the chunking, and a counter would leak the
-   worker count into otherwise deterministic batch output — they are
-   trace events instead. *)
+   worker runs it). *)
 let m_lookups = Dda_obs.Metrics.counter "memo.lookups"
 let m_hits = Dda_obs.Metrics.counter "memo.hits"
 
@@ -118,18 +115,6 @@ let find_or_add (t : _ t) key compute =
     let v = compute () in
     add_new t key h v;
     (v, false)
-
-let merge_into ~into (src : _ t) =
-  if into == src then invalid_arg "Memo_table.merge_into: a table cannot absorb itself";
-  Dda_obs.Trace.instant "memo.merge"
-    ~args:[ ("src_entries", src.size); ("into_entries", into.size) ];
-  Array.iter
-    (List.iter (fun e ->
-         if find_entry into e.key e.hash = None then
-           add_new into e.key e.hash e.value))
-    src.buckets;
-  into.lookups <- into.lookups + src.lookups;
-  into.hits <- into.hits + src.hits
 
 let iter f (t : _ t) =
   Array.iter (List.iter (fun e -> f e.key e.value)) t.buckets

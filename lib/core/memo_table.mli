@@ -5,7 +5,7 @@
     — chosen "so that symmetrical or partially symmetrical references
     would not collide". Keys are flat [int array]s (built once per
     query, no per-element boxing); each stored entry keeps its key's
-    hash, so growing the table and merging tables never rehash keys.
+    hash, so growing the table never rehashes keys.
     Grows by doubling when [length] exceeds {!load_factor} entries per
     bucket. *)
 
@@ -26,15 +26,6 @@ val find_or_add : 'a t -> int array -> (unit -> 'a) -> 'a * bool
     hashed exactly once per call, and never retained: on a miss it is
     copied before [compute] runs, so callers may pass a reusable
     scratch buffer ({!Problem.to_key_scratch}). *)
-
-val merge_into : into:'a t -> 'a t -> unit
-(** Absorb the second table into the first: the key sets are unioned
-    (an existing binding in [into] wins over the absorbed one) and the
-    lookup/hit counters are summed. The absorbed table is left
-    untouched. Used to combine per-domain tables after a parallel batch
-    run, where [length] of the merged table is the number of distinct
-    problems across the whole corpus.
-    @raise Invalid_argument when both arguments are the same table. *)
 
 val iter : (int array -> 'a -> unit) -> 'a t -> unit
 (** Apply [f] to every stored binding, in unspecified order. The

@@ -41,53 +41,32 @@ let m_items = Dda_obs.Metrics.counter "batch.items"
 let m_retries = Dda_obs.Metrics.counter "batch.retries"
 let m_quarantined = Dda_obs.Metrics.counter "batch.quarantined"
 
+(* The registry a batch report embeds. Every counter and histogram is
+   a pure function of the per-item work, except the failpoint counters:
+   a site such as [pool.job] is hit once per chunk, so its count
+   follows the job count. *)
+let metrics () =
+  let snap = Dda_obs.Metrics.snapshot () in
+  {
+    snap with
+    Dda_obs.Metrics.counters =
+      List.filter
+        (fun (name, _) -> not (String.starts_with ~prefix:"failpoint." name))
+        snap.Dda_obs.Metrics.counters;
+  }
+
 let run ?(config = Analyzer.default_config) ?(share_memo = false)
-    ?(memo_merge_after = false) ?(verify = false) ?(lint = false)
+    ?(verify = false) ?(lint = false)
     ?(retries = 1) ?(backoff_ms = 50) ?item_timeout_ms ~jobs items =
   if jobs < 1 then invalid_arg "Batch.run: jobs must be >= 1";
   if retries < 0 then invalid_arg "Batch.run: retries must be >= 0";
   if backoff_ms < 0 then invalid_arg "Batch.run: backoff_ms must be >= 0";
   let arr = Array.of_list items in
-  (* Live sharing is the default memo-sharing mode: one lock-striped
-     table pair every worker queries during the run, so a cross-item
-     repeat is a hit whichever domain computed it first. The per-chunk
-     session + merge-after path survives behind [memo_merge_after] as
-     the differential oracle (and is what [--jobs 1] sharing used to
-     mean — at one worker the two are equivalent). *)
-  let shared =
-    if share_memo && not memo_merge_after then Some (Analyzer.create_shared ())
-    else None
-  in
+  (* With [share_memo], one lock-striped table pair every worker
+     queries during the run, so a cross-item repeat is a hit whichever
+     domain computed it first. *)
+  let shared = if share_memo then Some (Analyzer.create_shared ()) else None in
   let shared_c = Option.map Analyzer.shared_cache shared in
-  (* Verification replays the analyzer's own pair enumeration and
-     checks the report actually produced — memoized or not. It runs
-     under the same per-item deadline as the analysis. *)
-  let verification cancel program report =
-    if not verify then None
-    else begin
-      let prepared =
-        if config.Analyzer.run_pipeline then Dda_passes.Pipeline.run program
-        else program
-      in
-      let sites = Affine.extract ~symbolic:config.Analyzer.symbolic prepared in
-      let pairs = Analyzer.site_pairs config sites in
-      Some (Dda_check.Verify.verify_report ~cancel ~config pairs report)
-    end
-  in
-  (* The lint summary rides on the report the item already produced —
-     the edges and verdicts are re-derived from the recorded direction
-     vectors, not from a second analysis. *)
-  let lint_summary cancel program report =
-    if not lint then None
-    else begin
-      let prepared =
-        if config.Analyzer.run_pipeline then Dda_passes.Pipeline.run program
-        else program
-      in
-      let sites = Affine.extract ~symbolic:config.Analyzer.symbolic prepared in
-      Some (Dda_analysis.Lint.of_report ~config ~cancel ~prepared ~sites report)
-    end
-  in
   let item_cancel () =
     match item_timeout_ms with
     | None -> fun () -> false
@@ -102,7 +81,7 @@ let run ?(config = Analyzer.default_config) ?(share_memo = false)
      The watchdog deadline is cooperative — the budget polls [cancel]
      and degrades the verdict — so a stuck item comes back conservative
      rather than killed. *)
-  let process session idx =
+  let process idx =
     let it : item = arr.(idx) in
     Dda_obs.Metrics.incr m_items;
     let rec go attempt =
@@ -112,20 +91,27 @@ let run ?(config = Analyzer.default_config) ?(share_memo = false)
           (fun () ->
              Failpoint.hit "batch.item";
              let cancel = item_cancel () in
+             let prepared = Analyzer.prepare config it.program in
+             (* Each item counts its own lookups/hits over the shared
+                backend; the raw aggregate would mix every domain's
+                traffic into this item's delta. *)
+             let cache = Option.map Analyzer.counted_cache shared_c in
              let report =
-               match session, shared_c with
-               | Some s, _ -> Analyzer.analyze_session ~cancel s it.program
-               | None, Some c ->
-                 (* Each item counts its own lookups/hits over the
-                    shared backend; the raw aggregate would mix every
-                    domain's traffic into this item's delta. *)
-                 Analyzer.analyze ~config ~cancel
-                   ~cache:(Analyzer.counted_cache c) it.program
-               | None, None -> Analyzer.analyze ~config ~cancel it.program
+               Analyzer.analyze_sites ~config ~cancel ?cache prepared.pairs
              in
+             (* Verification checks the report actually produced —
+                memoized or not — and the lint summary re-derives edges
+                from its recorded direction vectors: neither analyzes
+                again. Both run under the item's deadline. *)
              ( report,
-               verification cancel it.program report,
-               lint_summary cancel it.program report ))
+               (if verify then
+                  Some
+                    (Dda_check.Verify.verify_report ~cancel ~config
+                       prepared.pairs report)
+                else None),
+               if lint then
+                 Some (Dda_analysis.Lint.of_report ~config ~cancel prepared report)
+               else None ))
       with
       | report, ver, lnt ->
         Ok
@@ -164,13 +150,7 @@ let run ?(config = Analyzer.default_config) ?(share_memo = false)
     (* The chunked item->domain assignment is a pure function of the
        corpus length (see the interface's determinism contract), so
        retries and quarantines never reshuffle memo-sharing. *)
-    let session =
-      if share_memo && memo_merge_after then
-        Some (Analyzer.create_session ~config ())
-      else None
-    in
-    let results = Array.init (hi - lo) (fun k -> process session (lo + k)) in
-    (results, session)
+    Array.init (hi - lo) (fun k -> process (lo + k))
   in
   (* One chunk runs on this domain: no worker domain at [jobs = 1]. *)
   let pool = Pool.create ~jobs:(if jobs = 1 then 0 else jobs) in
@@ -188,22 +168,19 @@ let run ?(config = Analyzer.default_config) ?(share_memo = false)
               | v -> v
               | exception e ->
                 (* The chunk died before per-item isolation engaged
-                   (e.g. session setup, or the pool job itself):
+                   (e.g. a failure of the pool job itself):
                    quarantine its items wholesale, attempts 0. *)
-                ( Array.init (hi - lo) (fun k ->
-                      Error
-                        {
-                          q_index = lo + k;
-                          q_name = arr.(lo + k).name;
-                          q_attempts = 0;
-                          q_error = Printexc.to_string e;
-                        }),
-                  None ))
+                Array.init (hi - lo) (fun k ->
+                    Error
+                      {
+                        q_index = lo + k;
+                        q_name = arr.(lo + k).name;
+                        q_attempts = 0;
+                        q_error = Printexc.to_string e;
+                      }))
            promises)
   in
-  let all =
-    List.concat_map (fun (results, _) -> Array.to_list results) per_chunk
-  in
+  let all = List.concat_map Array.to_list per_chunk in
   let items = List.filter_map (function Ok a -> Some a | Error _ -> None) all in
   let quarantined =
     List.filter_map (function Error q -> Some q | Ok _ -> None) all
@@ -217,28 +194,17 @@ let run ?(config = Analyzer.default_config) ?(share_memo = false)
   let merged = Analyzer.fresh_stats () in
   List.iter (fun a -> Analyzer.merge_stats ~into:merged a.report.Analyzer.stats) items;
   let table_stats =
-    match shared with
-    | Some sh ->
-      (* The shared tables already hold the corpus-wide union; their
-         sizes are the distinct-problem counts (racing domains that
-         both computed a key still stored it once). Summed per-item
-         misses can over-count exactly those races, so replace them. *)
-      let gcd_stats, full_stats = Analyzer.shared_table_stats sh in
-      merged.Analyzer.memo_unique_nobounds <- gcd_stats.Memo_table.size;
-      merged.Analyzer.memo_unique_full <- full_stats.Memo_table.size;
-      Some (gcd_stats, full_stats)
-    | None ->
-      (match List.filter_map snd per_chunk with
-       | [] -> None
-       | first :: rest ->
-         (* Per-call unique counts from [analyze_session] are cumulative
-            within a chunk, so their sum over-counts; replace them with the
-            distinct-problem counts of the merged (union) tables. *)
-         List.iter (fun s -> Analyzer.merge_sessions ~into:first s) rest;
-         let gcd_unique, full_unique = Analyzer.session_table_sizes first in
-         merged.Analyzer.memo_unique_nobounds <- gcd_unique;
-         merged.Analyzer.memo_unique_full <- full_unique;
-         Some (Analyzer.session_table_stats first))
+    Option.map
+      (fun sh ->
+         (* The shared tables already hold the corpus-wide union; their
+            sizes are the distinct-problem counts (racing domains that
+            both computed a key still stored it once). Summed per-item
+            misses can over-count exactly those races, so replace them. *)
+         let gcd_stats, full_stats = Analyzer.shared_table_stats sh in
+         merged.Analyzer.memo_unique_nobounds <- gcd_stats.Memo_table.size;
+         merged.Analyzer.memo_unique_full <- full_stats.Memo_table.size;
+         (gcd_stats, full_stats))
+      shared
   in
   let contended = Option.map Analyzer.shared_contended shared in
   { items; quarantined; retried; merged; table_stats; contended }

@@ -14,20 +14,12 @@
     queries one {e live-shared} lock-striped table pair
     ({!Analyzer.shared}) during the run: verdicts, direction vectors
     and distinct-problem counts are unchanged at any [jobs] —
-    memoization never alters answers, and the shared tables hold the
-    same key set the post-run union would — but memo-{e hit} counters
+    memoization never alters answers, and the shared tables end up
+    holding the same key set as at [jobs = 1] — but memo-{e hit} counters
     (and the gcd-table traffic, which only happens on full-table
     misses) then depend on cross-domain timing, so they are only
-    deterministic at [--jobs 1]. With [memo_merge_after] (implies [share_memo]) each
-    domain instead threads one {!Analyzer.session} through its whole
-    chunk and the per-domain sessions are merged with
-    {!Analyzer.merge_sessions} afterwards — the pre-live behaviour,
-    kept as a differential oracle: same verdicts, same distinct-problem
-    counts, hit counters deterministic for a fixed corpus and [jobs]
-    (they depend only on the chunking), but cross-item repeats that
-    land on different domains are recomputed instead of hitting. In
-    both modes the merged statistics report the union's
-    distinct-problem counts.
+    deterministic at [--jobs 1]. The merged statistics report the
+    shared tables' distinct-problem counts.
 
     {b Fault isolation.} A worker exception on one item — an analyzer
     bug, an injected {!Dda_core.Failpoint} failure — never aborts the
@@ -80,15 +72,20 @@ type result = {
       (** totals over [items] only ({!Analyzer.merge_stats}) *)
   table_stats : (Memo_table.stats * Memo_table.stats) option;
       (** with [share_memo]: [(gcd, full)] {!Dda_core.Memo_table.stats}
-          of the corpus-wide tables — the live-shared pair's aggregated
-          stripe stats, or (with [memo_merge_after]) the merged union
-          tables with lookup/hit counters summed over every worker
-          session. [None] in the independent mode. *)
+          of the corpus-wide live-shared tables, aggregated over
+          stripes. [None] in the independent mode. *)
   contended : int option;
       (** live-shared mode only: stripe-lock acquisitions that had to
           block ({!Analyzer.shared_contended}) — a load signal, never
           deterministic. [None] otherwise. *)
 }
+
+val metrics : unit -> Dda_obs.Metrics.snapshot
+(** The {!Dda_obs.Metrics} registry without its [failpoint.*] counters:
+    what [ddtest batch --format json] embeds. Every remaining counter
+    and histogram is a pure function of the per-item work, so the
+    snapshot after a run is the same at any [jobs]; a failpoint such as
+    [pool.job] is hit once per chunk, so its count is not. *)
 
 val chunks : jobs:int -> int -> (int * int) list
 (** [chunks ~jobs n] splits [0..n-1] into [jobs] contiguous [(lo, hi)]
@@ -98,7 +95,6 @@ val chunks : jobs:int -> int -> (int * int) list
 val run :
   ?config:Analyzer.config ->
   ?share_memo:bool ->
-  ?memo_merge_after:bool ->
   ?verify:bool ->
   ?lint:bool ->
   ?retries:int ->
@@ -110,10 +106,7 @@ val run :
 (** Analyze the corpus on [jobs] domains ([jobs = 1]: the calling
     domain, no worker is spawned). [share_memo] defaults to
     [false] (the fully [jobs]-independent mode described above); when
-    set, workers share the memo tables live unless [memo_merge_after]
-    (default [false]) selects the per-domain-sessions-merged-at-the-end
-    oracle mode instead ([memo_merge_after] without [share_memo] is
-    ignored).
+    set, workers share the memo tables live.
     [verify] (default [false]) certificate-checks each program's
     report on its worker domain and fills [verification]. [lint]
     (default [false]) classifies each program's dependences and

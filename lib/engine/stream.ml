@@ -173,29 +173,6 @@ let md5_hex s = Digest.to_hex (Digest.string s)
 let process ~config ~cache ~verify ~lint ~retries ~backoff_ms ~item_timeout_ms
     ~keyed ~idx it =
   Dda_obs.Metrics.incr m_items;
-  let verification cancel program report =
-    if not verify then None
-    else begin
-      let prepared =
-        if config.Analyzer.run_pipeline then Dda_passes.Pipeline.run program
-        else program
-      in
-      let sites = Affine.extract ~symbolic:config.Analyzer.symbolic prepared in
-      let pairs = Analyzer.site_pairs config sites in
-      Some (Dda_check.Verify.verify_report ~cancel ~config pairs report)
-    end
-  in
-  let lint_summary cancel program report =
-    if not lint then None
-    else begin
-      let prepared =
-        if config.Analyzer.run_pipeline then Dda_passes.Pipeline.run program
-        else program
-      in
-      let sites = Affine.extract ~symbolic:config.Analyzer.symbolic prepared in
-      Some (Dda_analysis.Lint.of_report ~config ~cancel ~prepared ~sites report)
-    end
-  in
   let item_cancel () =
     match item_timeout_ms with
     | None -> fun () -> false
@@ -214,19 +191,23 @@ let process ~config ~cache ~verify ~lint ~retries ~backoff_ms ~item_timeout_ms
           if keyed then key := md5_hex text;
           let program = parse it.name text in
           let cancel = item_cancel () in
+          let prepared = Analyzer.prepare config program in
+          (* Live-shared memo tables: each item wraps the shared backend
+             with its own counters so its reported lookup totals stay a
+             pure function of the item. *)
+          let cache = Option.map Analyzer.counted_cache cache in
           let report =
-            match cache with
-            | Some c ->
-              (* Live-shared memo tables: each item wraps the shared
-                 backend with its own counters so its reported lookup
-                 totals stay a pure function of the item. *)
-              Analyzer.analyze ~config ~cancel
-                ~cache:(Analyzer.counted_cache c) program
-            | None -> Analyzer.analyze ~config ~cancel program
+            Analyzer.analyze_sites ~config ~cancel ?cache prepared.pairs
           in
           ( report,
-            verification cancel program report,
-            lint_summary cancel program report ))
+            (if verify then
+               Some
+                 (Dda_check.Verify.verify_report ~cancel ~config prepared.pairs
+                    report)
+             else None),
+            if lint then
+              Some (Dda_analysis.Lint.of_report ~config ~cancel prepared report)
+            else None ))
     with
     | report, ver, lnt ->
       ( !key,

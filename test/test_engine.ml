@@ -172,47 +172,8 @@ let test_pool_stress_mixed_failures () =
   Pool.shutdown pool
 
 (* ------------------------------------------------------------------ *)
-(* Memo_table merge and the paper's hash                               *)
+(* Stats merging, carried caches and the paper's hash                  *)
 (* ------------------------------------------------------------------ *)
-
-let test_memo_merge () =
-  let a = Memo_table.create () and b = Memo_table.create () in
-  Memo_table.add a [| 1; 2 |] "a12";
-  Memo_table.add a [| 3 |] "a3";
-  Memo_table.add b [| 1; 2 |] "b12";
-  Memo_table.add b [| 4; 5 |] "b45";
-  ignore (Memo_table.find a [| 1; 2 |]);
-  ignore (Memo_table.find a [| 9 |]);
-  ignore (Memo_table.find b [| 4; 5 |]);
-  Memo_table.merge_into ~into:a b;
-  Alcotest.(check int) "union size" 3 (Memo_table.length a);
-  Alcotest.(check int) "lookups summed" 3 (Memo_table.lookups a);
-  Alcotest.(check int) "hits summed" 2 (Memo_table.hits a);
-  Alcotest.(check (option string)) "existing binding wins" (Some "a12")
-    (Memo_table.find a [| 1; 2 |]);
-  Alcotest.(check (option string)) "absorbed binding present" (Some "b45")
-    (Memo_table.find a [| 4; 5 |]);
-  Alcotest.(check int) "absorbed table untouched" 2 (Memo_table.length b);
-  Alcotest.check_raises "self-merge refused"
-    (Invalid_argument "Memo_table.merge_into: a table cannot absorb itself")
-    (fun () -> Memo_table.merge_into ~into:a a)
-
-let test_memo_merge_grows () =
-  (* Absorbing a large table forces rehashing mid-merge; every key must
-     survive. *)
-  let a = Memo_table.create ~initial_buckets:2 () in
-  let b = Memo_table.create () in
-  for i = 0 to 99 do
-    Memo_table.add b [| i; i + 1 |] i
-  done;
-  Memo_table.add a [| 1000 |] (-1);
-  Memo_table.merge_into ~into:a b;
-  Alcotest.(check int) "all keys present" 101 (Memo_table.length a);
-  let ok = ref true in
-  for i = 0 to 99 do
-    if Memo_table.find a [| i; i + 1 |] <> Some i then ok := false
-  done;
-  Alcotest.(check bool) "all retrievable after merge rehash" true !ok
 
 let prop_hash_formula =
   (* hash_key agrees with the paper's h(x) = size(x) + sum 2^i x_i on
@@ -360,37 +321,34 @@ let test_merge_stats () =
      + s2.Analyzer.dir_counts.Direction.by_test.(0))
     merged.Analyzer.dir_counts.Direction.by_test.(0)
 
-let test_merge_sessions () =
+(* One memory cache carried across three programs holds the union of
+   their problems: the cross-compilation table of the paper. *)
+let test_carried_cache_unions () =
   let config = Analyzer.default_config in
-  let s1 = Analyzer.create_session ~config () in
-  let s2 = Analyzer.create_session ~config () in
   let p1 = parse "for i = 1 to 10 do\n  a[i + 1] = a[i] + 1\nend" in
   let p2 = parse "for i = 1 to 10 do\n  b[i + 1] = b[i] + 2\nend" in
   let p3 = parse "for i = 1 to 8 do\n  c[2 * i] = c[i] + 1\nend" in
-  ignore (Analyzer.analyze_session s1 p1);
-  ignore (Analyzer.analyze_session s2 p2);
-  ignore (Analyzer.analyze_session s2 p3);
-  let _, full1 = Analyzer.session_table_sizes s1 in
-  Analyzer.merge_sessions ~into:s1 s2;
-  let _, full_merged = Analyzer.session_table_sizes s1 in
+  let full_entries (c : Analyzer.cache) =
+    (snd (c.Analyzer.cache_stats ())).Memo_table.size
+  in
+  let alone p =
+    let c = Analyzer.memory_cache () in
+    ignore (Analyzer.analyze ~config ~cache:c p);
+    full_entries c
+  in
+  let carried = Analyzer.memory_cache () in
+  List.iter (fun p -> ignore (Analyzer.analyze ~config ~cache:carried p)) [ p1; p2; p3 ];
+  let union = full_entries carried in
+  Alcotest.(check bool) "union at least as large as each program" true
+    (List.for_all (fun p -> union >= alone p) [ p1; p2; p3 ]);
   (* p1 and p2 key identically (names are not part of the key), so the
-     union must be strictly smaller than the sum but at least as large
-     as either side. *)
-  Alcotest.(check bool) "union at least as large" true (full_merged >= full1);
-  let _, full2 = Analyzer.session_table_sizes s2 in
+     union must be strictly smaller than the sum. *)
   Alcotest.(check bool) "union deduplicates shared problems" true
-    (full_merged < full1 + full2);
-  (* A fresh analysis over the merged session hits on both corpora. *)
-  let r = Analyzer.analyze_session s1 p3 in
+    (union < alone p1 + alone p2 + alone p3);
+  let r = Analyzer.analyze ~config ~cache:carried p3 in
   Alcotest.(check int) "every pair of p3 now hits"
     r.Analyzer.stats.Analyzer.memo_lookups_full
-    r.Analyzer.stats.Analyzer.memo_hits_full;
-  let cfg2 = { config with Analyzer.symbolic = false } in
-  let s3 = Analyzer.create_session ~config:cfg2 () in
-  Alcotest.check_raises "config mismatch refused"
-    (Invalid_argument
-       "Analyzer.merge_sessions: sessions built under different configurations")
-    (fun () -> Analyzer.merge_sessions ~into:s1 s3)
+    r.Analyzer.stats.Analyzer.memo_hits_full
 
 (* ------------------------------------------------------------------ *)
 (* Batch driver                                                        *)
@@ -501,12 +459,13 @@ let prop_batch_share_memo_verdicts =
             pairs_only (Batch.run ~share_memo:true ~jobs corpus) = isolated)
          [ 1; 3 ])
 
-let prop_batch_live_vs_merge_after =
-  (* The sharded live-sharing path against its differential oracle, the
-     per-domain-sessions-merged-after path: byte-identical per-item
-     reports (verdicts, direction vectors, distances) and identical
-     distinct-problem counts at any job count. *)
-  QCheck.Test.make ~name:"live-shared equals merge-after (verdicts + uniques)"
+let prop_batch_live_jobs_invariant =
+  (* The live-sharing oracle: at 2 and 4 jobs the shared tables are
+     queried by several domains at once, yet every per-item report
+     (verdicts, direction vectors, distances) is byte-identical to the
+     one-job run, and so are the distinct-problem counts. Only who hits
+     depends on scheduling. *)
+  QCheck.Test.make ~name:"live-shared multi-job runs equal one job"
     ~count:15 arb_corpus
     (fun programs ->
        let corpus = corpus_of_programs programs in
@@ -525,17 +484,12 @@ let prop_batch_live_vs_merge_after =
          ( r.Batch.merged.Analyzer.memo_unique_nobounds,
            r.Batch.merged.Analyzer.memo_unique_full )
        in
+       let solo = Batch.run ~share_memo:true ~jobs:1 corpus in
        List.for_all
          (fun jobs ->
             let live = Batch.run ~share_memo:true ~jobs corpus in
-            let merge =
-              Batch.run ~share_memo:true ~memo_merge_after:true ~jobs corpus
-            in
-            reports_bytes live = reports_bytes merge
-            && uniques live = uniques merge
-            && live.Batch.contended <> None
-            && merge.Batch.contended = None)
-         [ 1; 2; 4 ])
+            reports_bytes live = reports_bytes solo && uniques live = uniques solo)
+         [ 2; 4 ])
 
 let test_batch_share_memo_unique_counts () =
   (* Two copies of the same program: whatever the chunking, the union
@@ -622,11 +576,9 @@ let () =
         ] );
       ( "merge",
         [
-          Alcotest.test_case "memo merge_into" `Quick test_memo_merge;
-          Alcotest.test_case "memo merge rehash" `Quick test_memo_merge_grows;
           Alcotest.test_case "merge_stats sums fields" `Quick test_merge_stats;
-          Alcotest.test_case "merge_sessions unions tables" `Quick
-            test_merge_sessions;
+          Alcotest.test_case "carried cache unions tables" `Quick
+            test_carried_cache_unions;
           qt prop_hash_formula;
         ] );
       ( "sharded",
@@ -646,7 +598,7 @@ let () =
             test_batch_share_memo_unique_counts;
           qt prop_batch_deterministic;
           qt prop_batch_share_memo_verdicts;
-          qt prop_batch_live_vs_merge_after;
+          qt prop_batch_live_jobs_invariant;
         ] );
       ( "drivers",
         [

@@ -1,6 +1,6 @@
 (* Tests for the paper's "further optimizations", implemented as
    features: symmetric-pair memoization, dependence-kind
-   classification, and persistent memo sessions. *)
+   classification, and memo tables carried across compilations. *)
 
 open Dda_lang
 open Dda_core
@@ -167,11 +167,11 @@ let test_kind_loop_independent () =
     (kinds_of src = [ Analyzer.Flow ])
 
 (* ------------------------------------------------------------------ *)
-(* Sessions                                                            *)
+(* Sessions: memo caches carried across compilations                   *)
 (* ------------------------------------------------------------------ *)
 
 let with_temp_file f =
-  let path = Filename.temp_file "dda_session" ".bin" in
+  let path = Filename.temp_file "dda_memo" ".cache" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
 
 let strip (r : Analyzer.report) =
@@ -189,55 +189,47 @@ let strip (r : Analyzer.report) =
 
 let test_session_accumulates () =
   let prog = parse mirror_src in
-  let session = Analyzer.create_session () in
-  let r1 = Analyzer.analyze_session session prog in
-  let r2 = Analyzer.analyze_session session prog in
+  let cache = Analyzer.memory_cache () in
+  let r1 = Analyzer.analyze ~cache prog in
+  let r2 = Analyzer.analyze ~cache prog in
   Alcotest.(check bool) "same outcomes" true (strip r1 = strip r2);
   Alcotest.(check int) "second run all hits" r2.stats.memo_lookups_full
     r2.stats.memo_hits_full;
   Alcotest.(check bool) "first run had misses" true
     (r1.stats.memo_hits_full < r1.stats.memo_lookups_full)
 
+(* The durable store [analyze --memo-file] and [prime] use: a table
+   written by one run and reopened under the same configuration answers
+   the next run from its replayed entries. *)
 let test_session_save_load () =
   with_temp_file (fun path ->
+      Sys.remove path;
+      let config = Analyzer.default_config in
       let prog = parse mirror_src in
-      let s1 = Analyzer.create_session () in
-      let r1 = Analyzer.analyze_session s1 prog in
-      Analyzer.save_session s1 path;
-      let s2 = Analyzer.load_session path in
-      Alcotest.(check bool) "config restored" true
-        (Analyzer.session_config s2 = Analyzer.session_config s1);
-      let r2 = Analyzer.analyze_session s2 prog in
+      let run () =
+        let d, _ = Dda_cache.Durable.create ~path ~config () in
+        Fun.protect
+          ~finally:(fun () -> Dda_cache.Durable.close d)
+          (fun () -> Analyzer.analyze ~config ~cache:(Dda_cache.Durable.cache d) prog)
+      in
+      let r1 = run () in
+      let r2 = run () in
       Alcotest.(check bool) "same outcomes after reload" true (strip r1 = strip r2);
-      Alcotest.(check int) "reloaded session: all hits" r2.stats.memo_lookups_full
-        r2.stats.memo_hits_full)
+      Alcotest.(check int) "reloaded table: all hits" r2.stats.memo_lookups_full
+        r2.stats.memo_hits_full;
+      Alcotest.(check int) "no new entries" r1.stats.memo_unique_full
+        r2.stats.memo_unique_full)
 
 let test_session_priming () =
   (* The paper's suggestion: prime a standard table from a benchmark
      suite, then compile something else. Shared shapes hit. *)
   let train = parse "for i = 1 to 10 do a[i] = a[i-1] + 1 end" in
   let fresh = parse "for i = 1 to 10 do zz[i] = zz[i-1] + 1 end" in
-  let session = Analyzer.create_session () in
-  ignore (Analyzer.analyze_session session train);
-  let r = Analyzer.analyze_session session fresh in
+  let cache = Analyzer.memory_cache () in
+  ignore (Analyzer.analyze ~cache train);
+  let r = Analyzer.analyze ~cache fresh in
   Alcotest.(check int) "different array, same shape: all hits"
     r.stats.memo_lookups_full r.stats.memo_hits_full
-
-let test_session_version_mismatch () =
-  with_temp_file (fun path ->
-      let s1 = Analyzer.create_session () in
-      Analyzer.save_session s1 path;
-      (* Corrupt the version number (bytes 11-14 after the magic). *)
-      let ic = open_in_bin path in
-      let content = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let bytes = Bytes.of_string content in
-      Bytes.set bytes 14 '\xff';
-      let oc = open_out_bin path in
-      output_bytes oc bytes;
-      close_out oc;
-      Alcotest.(check bool) "version rejected" true
-        (try ignore (Analyzer.load_session path); false with Failure _ -> true))
 
 let test_within_nest_only () =
   (* Two separate nests touching the same array: skipped under the
@@ -255,14 +247,6 @@ let test_within_nest_only () =
     (count { (exact_with Analyzer.Memo_off) with Analyzer.within_nest_only = true });
   Alcotest.(check int) "cross-nest enabled" 1
     (count { (exact_with Analyzer.Memo_off) with Analyzer.within_nest_only = false })
-
-let test_session_bad_file () =
-  with_temp_file (fun path ->
-      let oc = open_out_bin path in
-      output_string oc "not a session at all";
-      close_out oc;
-      Alcotest.(check bool) "rejects garbage" true
-        (try ignore (Analyzer.load_session path); false with Failure _ -> true))
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -292,8 +276,6 @@ let () =
           Alcotest.test_case "accumulates" `Quick test_session_accumulates;
           Alcotest.test_case "save/load" `Quick test_session_save_load;
           Alcotest.test_case "priming" `Quick test_session_priming;
-          Alcotest.test_case "bad file" `Quick test_session_bad_file;
-          Alcotest.test_case "version mismatch" `Quick test_session_version_mismatch;
           Alcotest.test_case "within-nest filtering" `Quick test_within_nest_only;
         ] );
     ]

@@ -240,10 +240,11 @@ let arb_corpus =
 
 let prop_batch_metrics_jobs_invariant =
   (* Every counter and histogram the batch embeds in its JSON output
-     must be a pure function of the per-item analysis work — running
-     the same corpus on one worker or several yields the identical
-     merged registry (the design rule that keeps batch output
-     byte-identical across --jobs). *)
+     ({!Batch.metrics}: the registry less its failpoint counters) must
+     be a pure function of the per-item analysis work — running the
+     same corpus on one worker or several yields the identical merged
+     registry (the design rule that keeps batch output byte-identical
+     across --jobs). *)
   QCheck.Test.make ~name:"batch metrics invariant under the job count"
     ~count:10 arb_corpus
     (fun programs ->
@@ -251,7 +252,7 @@ let prop_batch_metrics_jobs_invariant =
        let registry_of jobs =
          Metrics.reset ();
          ignore (Batch.run ~jobs corpus);
-         Metrics.to_json_string (Metrics.snapshot ())
+         Metrics.to_json_string (Batch.metrics ())
        in
        let solo = registry_of 1 in
        List.for_all (fun jobs -> registry_of jobs = solo) [ 2; 3 ])
