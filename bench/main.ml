@@ -599,37 +599,62 @@ let ablations () =
        v_plain v_tight)
 
 (* ------------------------------------------------------------------ *)
-(* Batch engine: sequential vs parallel corpus analysis                *)
+(* The batch driver: sequential vs parallel corpus analysis           *)
 (* ------------------------------------------------------------------ *)
 
+(* Eight copies of each suite program's text, as [(name, text)]. *)
 let batch_corpus_8x () =
   List.concat_map
-    (fun ((spec : Programs.spec), prog) ->
-       List.init 8 (fun k ->
-           { Dda_engine.Batch.name = Printf.sprintf "%s#%d" spec.name k; program = prog }))
-    programs
+    (fun (spec : Programs.spec) ->
+       let text = Programs.source spec in
+       List.init 8 (fun k -> (Printf.sprintf "%s#%d" spec.name k, text)))
+    Programs.all
+
+(* [Stream.run] over [(name, text)] items, keeping every outcome: the
+   sink in-memory [ddtest batch] collects with. Returns the summary and
+   the analyzed items' [(name, report)] in input order. *)
+let run_batch ?share_memo ~jobs corpus =
+  let rest = ref corpus in
+  let source () =
+    match !rest with
+    | [] -> None
+    | (name, text) :: tl ->
+      rest := tl;
+      Some { Dda_engine.Stream.name; text = (fun () -> text) }
+  in
+  let reports = ref [] in
+  let summary =
+    Dda_engine.Stream.run ?share_memo ~jobs
+      ~render:(function
+        | Dda_engine.Stream.Analyzed a ->
+          reports := (a.name, a.report) :: !reports;
+          ""
+        | Dda_engine.Stream.Quarantined q -> failwith ("quarantined: " ^ q.error))
+      ~emit:ignore source
+  in
+  (summary, List.rev !reports)
 
 (* Everything the batch emits: per-item reports and merged stats,
    rendered to one canonical string. *)
-let batch_fingerprint (r : Dda_engine.Batch.result) =
+let batch_fingerprint ((summary : Dda_engine.Stream.summary), reports) =
   String.concat "\n"
     (List.map
-       (fun (a : Dda_engine.Batch.analyzed) ->
-          a.name ^ " " ^ Dda_core.Json_out.to_string (Dda_core.Json_out.report a.report))
-       r.Dda_engine.Batch.items)
-  ^ Dda_core.Json_out.to_string (Dda_core.Json_out.stats r.Dda_engine.Batch.merged)
+       (fun (name, report) ->
+          name ^ " " ^ Dda_core.Json_out.to_string (Dda_core.Json_out.report report))
+       reports)
+  ^ Dda_core.Json_out.to_string (Dda_core.Json_out.stats summary.merged)
 
 let batch_parallel () =
   section
     (Printf.sprintf
-       "Batch engine: sequential vs parallel corpus analysis\n\
+       "The batch driver: sequential vs parallel corpus analysis\n\
         (domain pool over the synthetic PERFECT Club, replicated 8x;\n\
         this machine reports %d core(s) -- speedup needs real cores)"
        (Domain.recommended_domain_count ()));
   let corpus = batch_corpus_8x () in
   let fingerprint = batch_fingerprint in
   let measure ?share_memo jobs =
-    let r, t = time (fun () -> Dda_engine.Batch.run ?share_memo ~jobs corpus) in
+    let r, t = time (fun () -> run_batch ?share_memo ~jobs corpus) in
     (fingerprint r, t)
   in
   let f1, t1 = measure 1 in
@@ -658,17 +683,17 @@ let jobs_scaling_result :
 (* Reports minus the memo counters: live sharing changes who hits (a
    scheduling fact the stats faithfully record) but must never change
    what any pair's verdict says. This fingerprints exactly the latter. *)
-let verdict_fingerprint (r : Dda_engine.Batch.result) =
+let verdict_fingerprint reports =
   String.concat "\n"
     (List.map
-       (fun (a : Dda_engine.Batch.analyzed) ->
-          a.name
+       (fun (name, (report : Analyzer.report)) ->
+          name
           ^ " "
           ^ String.concat ";"
               (List.map
                  (fun p -> Dda_core.Json_out.to_string (Dda_core.Json_out.pair p))
-                 a.report.Dda_core.Analyzer.pair_reports))
-       r.Dda_engine.Batch.items)
+                 report.pair_reports))
+       reports)
 
 (* The live-sharing oracle, measured: at [--jobs n] the sharded tables
    turn any cross-item repeat into a hit the moment one domain has
@@ -685,26 +710,24 @@ let jobs_scaling () =
         %d core(s) -- wall-clock scaling needs real cores)"
        cores);
   let corpus = batch_corpus_8x () in
-  let full_hit_rate (r : Dda_engine.Batch.result) =
-    match r.Dda_engine.Batch.table_stats with
-    | Some (_, full) when full.Memo_table.lookups > 0 ->
-      float_of_int full.Memo_table.hits /. float_of_int full.Memo_table.lookups
-    | Some _ | None -> 0.
-  in
   let fps = ref [] in
   let rows =
     List.map
       (fun jobs ->
-         let r, t =
-           time (fun () -> Dda_engine.Batch.run ~share_memo:true ~jobs corpus)
+         let (summary, reports), t =
+           time (fun () -> run_batch ~share_memo:true ~jobs corpus)
          in
-         fps := verdict_fingerprint r :: !fps;
-         let merged = r.Dda_engine.Batch.merged in
+         fps := verdict_fingerprint reports :: !fps;
+         (* The shared tables' sizes are the distinct-problem counts. *)
+         let gcd, full = Option.get summary.Dda_engine.Stream.memo_tables in
          ( jobs,
            t *. 1e3,
-           full_hit_rate r,
-           merged.Analyzer.memo_unique_nobounds,
-           merged.Analyzer.memo_unique_full ))
+           (if full.Memo_table.lookups = 0 then 0.
+            else
+              float_of_int full.Memo_table.hits
+              /. float_of_int full.Memo_table.lookups),
+           gcd.Memo_table.size,
+           full.Memo_table.size ))
       [ 1; 2; 4 ]
   in
   let identical =
@@ -842,14 +865,14 @@ let perfect_batch () =
 (* Streaming vs in-memory batch: the bounded-memory claim              *)
 (* ------------------------------------------------------------------ *)
 
-(* The streamed engine holds only a sliding window of in-flight items;
-   the in-memory engine materializes the whole parsed corpus and every
-   report before printing anything. VmHWM is monotonic within a
-   process, so both modes are measured with the GC's own live-word
-   count: full_major, then [Gc.stat].live_words. The streamed figure is
-   the maximum observed after each emitted item. Both runs analyze the
-   exact corpus [Stream.of_perfect ~amplify:10] yields, so the delta is
-   attributable to engine structure, not corpus content. *)
+(* The streamed run holds only a sliding window of in-flight items;
+   the in-memory sink ([ddtest batch --format json] without [--stream])
+   keeps every outcome until the run ends, to print one document. VmHWM
+   is monotonic within a process, so both modes are measured with the
+   GC's own live-word count: full_major, then [Gc.stat].live_words. The
+   streamed figure is the maximum observed after each emitted item.
+   Both runs are one [Stream.run] over [Stream.of_perfect ~amplify:10],
+   so the delta is what the sink keeps, not corpus content. *)
 let streaming_memory_result : (int * int) option ref = ref None
 
 let live_words () =
@@ -862,30 +885,18 @@ let streaming_memory () =
      (GC live words; the streamed run samples after every item)";
   let amplify = 10 in
   let module Stream = Dda_engine.Stream in
-  let drain src f =
-    let rec go () =
-      match src () with
-      | None -> ()
-      | Some (it : Stream.item) ->
-        f it;
-        go ()
-    in
-    go ()
-  in
   let base = live_words () in
   let inmem =
-    let items = ref [] in
-    drain
-      (Stream.of_perfect ~amplify ())
-      (fun it ->
-        items :=
-          { Dda_engine.Batch.name = it.Stream.name;
-            program = Parser.parse_program (it.Stream.text ()) }
-          :: !items);
-    let items = List.rev !items in
-    let res = Dda_engine.Batch.run ~jobs:1 items in
+    let outcomes = ref [] in
+    ignore
+      (Stream.run ~jobs:1
+         ~render:(fun o ->
+           outcomes := o :: !outcomes;
+           "")
+         ~emit:ignore
+         (Stream.of_perfect ~amplify ()));
     let w = live_words () - base in
-    ignore (Sys.opaque_identity (items, res));
+    ignore (Sys.opaque_identity !outcomes);
     w
   in
   let base = live_words () in
@@ -1075,14 +1086,13 @@ let admin_overhead () =
 (* Corpus-wide memo hit rates, via the batch engine's shared tables
    (jobs=1 keeps the counters independent of scheduling). *)
 let memo_hit_rates () =
-  let corpus =
-    List.map
-      (fun ((spec : Programs.spec), prog) ->
-         { Dda_engine.Batch.name = spec.name; program = prog })
-      programs
+  let summary =
+    Dda_engine.Stream.run ~share_memo:true ~jobs:1
+      ~render:(fun _ -> "")
+      ~emit:ignore
+      (Dda_engine.Stream.of_perfect ())
   in
-  let r = Dda_engine.Batch.run ~share_memo:true ~jobs:1 corpus in
-  r.Dda_engine.Batch.table_stats
+  summary.Dda_engine.Stream.memo_tables
 
 let table_json (st : Memo_table.stats) =
   Perf_json.Obj

@@ -4,7 +4,7 @@
      analyze    <file>  per-pair dependence report (text or JSON; memo
                         tables persist across runs with --memo-file)
      batch      <files> analyze a whole corpus concurrently (--jobs N);
-                        --stream pulls items in bounded memory, --journal/
+                        --stream prints items in bounded memory, --journal/
                         --resume checkpoint and continue interrupted runs,
                         --fuzz/--perfect generate the corpus on the fly
      fuzz       <n>     emit programs from the seeded corpus fuzzer
@@ -409,12 +409,14 @@ let batch_cmd =
      default (independent) mode it is byte-identical whatever --jobs
      is, and the determinism tests compare runs across job counts.
 
-     The streaming path renders each item's block to a string with the
-     same format strings as the in-memory path below, so the two modes
-     are byte-identical on stdout (modulo the in-memory JSON layout:
-     streaming JSON is one compact JSONL object per program). The
-     rendered chunk is also what the journal stores, which is what
-     makes a resumed run byte-identical to an uninterrupted one. *)
+     Both modes are one Stream.run. Each item's text block is rendered
+     to a string as soon as it is analyzed, so the two modes print the
+     same text; in-memory text adds the live-shared tables' lines.
+     Streamed JSON is one compact JSONL object per program, while the
+     in-memory JSON sink collects every outcome and pretty-prints one
+     document after the run. The rendered chunk is also what the
+     journal stores, which is what makes a resumed run byte-identical
+     to an uninterrupted one. *)
   let render_text = function
     | Dda_engine.Stream.Analyzed a ->
       let buf = Buffer.create 256 in
@@ -442,33 +444,85 @@ let batch_cmd =
         (if q.attempts = 1 then "" else "s")
         q.error
   in
+  let extra_json file verification lint =
+    (match verification with
+     | Some s -> [ ("verification", Dda_check.Verify.to_json ~file s) ]
+     | None -> [])
+    @
+    match lint with
+    | Some l -> [ ("lint", Dda_analysis.Lint.to_json ~file l) ]
+    | None -> []
+  in
+  let quarantined_json name attempts error =
+    Json_out.Obj
+      [
+        ("file", Json_out.Str name);
+        ("quarantined", Json_out.Bool true);
+        ("attempts", Json_out.Int attempts);
+        ("error", Json_out.Str error);
+      ]
+  in
   let render_json = function
     | Dda_engine.Stream.Analyzed a ->
       (* The report goes straight into the line buffer, no tree. *)
       Json_out.item_line ~file:a.name
-        ~extra:
-          ((match a.verification with
-            | Some s ->
-              [ ("verification", Dda_check.Verify.to_json ~file:a.name s) ]
-            | None -> [])
-          @
-          match a.lint with
-          | Some l -> [ ("lint", Dda_analysis.Lint.to_json ~file:a.name l) ]
-          | None -> [])
+        ~extra:(extra_json a.name a.verification a.lint)
         a.report
     | Dda_engine.Stream.Quarantined q ->
-      Json_out.to_line
-        (Json_out.Obj
-           [
-             ("file", Json_out.Str q.name);
-             ("quarantined", Json_out.Bool true);
-             ("attempts", Json_out.Int q.attempts);
-             ("error", Json_out.Str q.error);
-           ])
+      Json_out.to_line (quarantined_json q.name q.attempts q.error)
   in
-  let run_stream ~files ~jobs ~share_memo ~verify ~lint ~retries ~backoff_ms
-      ~item_timeout_ms ~config ~format ~journal ~resume ~fuzz ~fuzz_seed
-      ~fuzz_profile ~perfect ~amplify =
+  let program_json = function
+    | Dda_engine.Stream.Analyzed a ->
+      Json_out.Obj
+        (("file", Json_out.Str a.name)
+        :: ("report", Json_out.report a.report)
+        :: extra_json a.name a.verification a.lint)
+    | Dda_engine.Stream.Quarantined q -> quarantined_json q.name q.attempts q.error
+  in
+  let engine_json (summary : Dda_engine.Stream.summary) =
+    if summary.retried = 0 && summary.quarantined = 0 then []
+    else
+      [
+        ( "engine",
+          Json_out.Obj
+            [
+              ("retried", Json_out.Int summary.retried);
+              ("quarantined", Json_out.Int summary.quarantined);
+            ] );
+      ]
+  in
+  let table_line name (st : Memo_table.stats) =
+    Printf.printf "table (%s):  %d entries in %d buckets, %d/%d hits (%.1f%%)\n"
+      name st.size st.buckets st.hits st.lookups
+      (if st.lookups = 0 then 0.
+       else 100. *. float_of_int st.hits /. float_of_int st.lookups)
+  in
+  let table_json (st : Memo_table.stats) =
+    Json_out.Obj
+      [
+        ("entries", Json_out.Int st.size);
+        ("buckets", Json_out.Int st.buckets);
+        ("lookups", Json_out.Int st.lookups);
+        ("hits", Json_out.Int st.hits);
+      ]
+  in
+  (* "-" is the program on stdin, read once. *)
+  let stdin_source () =
+    let text = lazy (In_channel.input_all stdin) in
+    let pulled = ref false in
+    fun () ->
+      if !pulled then None
+      else begin
+        pulled := true;
+        Some { Dda_engine.Stream.name = "-"; text = (fun () -> Lazy.force text) }
+      end
+  in
+  let run () files jobs share_memo verify lint retries
+      backoff_ms item_timeout_ms config format stream journal resume fuzz
+      fuzz_seed fuzz_profile perfect amplify =
+    let in_memory =
+      not (stream || journal <> None || resume || fuzz > 0 || perfect || amplify > 1)
+    in
     let sources =
       (if files = [] then []
        else
@@ -476,7 +530,8 @@ let batch_cmd =
            Dda_engine.Stream.concat
              (List.map
                 (fun f ->
-                  if Sys.file_exists f && Sys.is_directory f then
+                  if String.equal f "-" then stdin_source ()
+                  else if Sys.file_exists f && Sys.is_directory f then
                     Dda_engine.Stream.of_dir f
                   else Dda_engine.Stream.of_files [ f ])
                 files);
@@ -490,8 +545,15 @@ let batch_cmd =
     if sources = [] then
       failwith "batch: no corpus (give FILES, --perfect or --fuzz N)";
     let source = Dda_engine.Stream.concat sources in
+    let collected = ref [] in
     let render =
-      match format with `Text -> render_text | `Json -> render_json
+      match format with
+      | `Text -> render_text
+      | `Json when in_memory ->
+        fun o ->
+          collected := o :: !collected;
+          ""
+      | `Json -> render_json
     in
     let emit chunk =
       print_string chunk;
@@ -520,31 +582,64 @@ let batch_cmd =
             ~stop:(fun () -> Atomic.get stop_flag)
             ~jobs ~render ~emit source)
     in
-    if summary.Dda_engine.Stream.interrupted then begin
+    if summary.interrupted then begin
       (* No summary block: the run is incomplete by design. Everything
          emitted so far is already on stdout and in the journal. *)
       Dda_obs.Log.warn
         "stream: interrupted after %d item(s); journal %s is flushed — \
          resume with --resume"
-        summary.Dda_engine.Stream.total
+        summary.total
         (Option.value ~default:"-" journal);
       exit 130
     end;
+    let merged = summary.merged in
+    (* In memory, the live-shared tables saw the whole corpus, so their
+       sizes are its distinct-problem counts: racing domains that both
+       computed a key stored it once, where the summed per-item misses
+       count it twice. A resumed stream's tables never saw the replayed
+       items, so streamed output keeps the sums. *)
+    if in_memory then
+      Option.iter
+        (fun ((gcd : Memo_table.stats), (full : Memo_table.stats)) ->
+          merged.memo_unique_nobounds <- gcd.size;
+          merged.memo_unique_full <- full.size)
+        summary.memo_tables;
     (match format with
      | `Text ->
        print_string
-         (Format.asprintf "@.== corpus: %d programs ==@."
-            summary.Dda_engine.Stream.total);
-       if
-         summary.Dda_engine.Stream.retried > 0
-         || summary.Dda_engine.Stream.quarantined > 0
-       then
+         (Format.asprintf "@.== corpus: %d programs ==@." summary.total);
+       if summary.retried > 0 || summary.quarantined > 0 then
          print_string
            (Format.asprintf "engine: %d retried, %d quarantined@."
-              summary.Dda_engine.Stream.retried
-              summary.Dda_engine.Stream.quarantined);
-       print_string
-         (Format.asprintf "%a" pp_stats summary.Dda_engine.Stream.merged)
+              summary.retried summary.quarantined);
+       print_string (Format.asprintf "%a" pp_stats merged);
+       if in_memory then
+         Option.iter
+           (fun (gcd, full) ->
+             table_line "gcd" gcd;
+             table_line "full" full)
+           summary.memo_tables
+     | `Json when in_memory ->
+       Format.printf "%a@." Json_out.pp
+         (Json_out.Obj
+            ([
+               ( "programs",
+                 Json_out.List (List.rev_map program_json !collected) );
+               ("merged_stats", Json_out.stats merged);
+             ]
+            @ (match summary.memo_tables with
+               | None -> []
+               | Some (gcd, full) ->
+                 [
+                   ( "memo_tables",
+                     Json_out.Obj
+                       [ ("gcd", table_json gcd); ("full", table_json full) ] );
+                 ])
+            (* Jobs-invariant registry (failpoint counters left out), so
+               embedding it keeps the JSON byte-identical across --jobs
+               values. *)
+            @ [ ("metrics", Json_out.metrics (Dda_engine.Stream.metrics ())) ]
+            @ engine_json summary))
      | `Json ->
        (* No metrics registry here: replayed items do not re-run, so
           registry counters are not resume-invariant — and the summary
@@ -553,200 +648,26 @@ let batch_cmd =
          (Json_out.to_line
             (Json_out.Obj
                ([
-                  ("corpus", Json_out.Int summary.Dda_engine.Stream.total);
-                  ( "merged_stats",
-                    Json_out.stats summary.Dda_engine.Stream.merged );
+                  ("corpus", Json_out.Int summary.total);
+                  ("merged_stats", Json_out.stats merged);
                 ]
-               @
-               if
-                 summary.Dda_engine.Stream.retried = 0
-                 && summary.Dda_engine.Stream.quarantined = 0
-               then []
-               else
-                 [
-                   ( "engine",
-                     Json_out.Obj
-                       [
-                         ( "retried",
-                           Json_out.Int summary.Dda_engine.Stream.retried );
-                         ( "quarantined",
-                           Json_out.Int summary.Dda_engine.Stream.quarantined
-                         );
-                       ] );
-                 ]))));
+               @ engine_json summary))));
     flush stdout;
     (* The scale CI job greps this line to watch peak memory. *)
     Dda_obs.Log.info
       "stream: %d items (%d replayed), %d retried, %d quarantined, peak rss %d kB"
-      summary.Dda_engine.Stream.total summary.Dda_engine.Stream.replayed
-      summary.Dda_engine.Stream.retried summary.Dda_engine.Stream.quarantined
+      summary.total summary.replayed summary.retried summary.quarantined
       (Option.value ~default:0 (Dda_obs.Rusage.peak_rss_kb ()));
-    if summary.Dda_engine.Stream.quarantined > 0 then exit 3
-    else if summary.Dda_engine.Stream.verify_errors > 0 then exit 2
-  in
-  let run () files jobs share_memo verify lint retries
-      backoff_ms item_timeout_ms config format stream journal resume fuzz
-      fuzz_seed fuzz_profile perfect amplify =
-    let streaming =
-      stream || journal <> None || resume || fuzz > 0 || perfect || amplify > 1
-    in
-    if streaming then begin
-      run_stream ~files ~jobs ~share_memo ~verify ~lint ~retries ~backoff_ms
-        ~item_timeout_ms ~config ~format ~journal ~resume ~fuzz ~fuzz_seed
-        ~fuzz_profile ~perfect ~amplify
-    end
-    else begin
-    if files = [] then failwith "batch: no input files";
-    let items =
-      List.map (fun f -> { Dda_engine.Batch.name = f; program = load f }) files
-    in
-    let result =
-      Dda_engine.Batch.run ~config ~share_memo ~verify ~lint
-        ~retries ~backoff_ms ?item_timeout_ms ~jobs items
-    in
-    (* Successes and quarantined items interleaved back in input order. *)
-    let entries =
-      let index = function
-        | `Ok (a : Dda_engine.Batch.analyzed) -> a.Dda_engine.Batch.index
-        | `Q (q : Dda_engine.Batch.quarantined) -> q.Dda_engine.Batch.q_index
-      in
-      List.merge
-        (fun a b -> compare (index a) (index b))
-        (List.map (fun a -> `Ok a) result.Dda_engine.Batch.items)
-        (List.map (fun q -> `Q q) result.Dda_engine.Batch.quarantined)
-    in
-    let nquarantined = List.length result.Dda_engine.Batch.quarantined in
-    (match format with
-     | `Text ->
-       List.iter
-         (function
-           | `Ok (a : Dda_engine.Batch.analyzed) ->
-             Format.printf "== %s ==@." a.name;
-             List.iter
-               (fun (r : Analyzer.pair_report) ->
-                  Format.printf "%s[%s]  %a x %a:  %a@." r.array_name
-                    (if r.self_pair then "self" else "pair")
-                    Loc.pp r.loc1 Loc.pp r.loc2 pp_outcome r)
-               a.report.Analyzer.pair_reports;
-             Option.iter
-               (fun s ->
-                  Format.printf "%a" (Dda_check.Verify.pp_text ~file:a.name) s)
-               a.verification;
-             Option.iter
-               (fun l ->
-                  Format.printf "%s" (Dda_analysis.Lint.to_text ~file:a.name l))
-               a.lint
-           | `Q (q : Dda_engine.Batch.quarantined) ->
-             Format.printf "== %s ==@." q.q_name;
-             Format.printf "QUARANTINED after %d attempt%s: %s@." q.q_attempts
-               (if q.q_attempts = 1 then "" else "s")
-               q.q_error)
-         entries;
-       Format.printf "@.== corpus: %d programs ==@." (List.length files);
-       if result.Dda_engine.Batch.retried > 0 || nquarantined > 0 then
-         Format.printf "engine: %d retried, %d quarantined@."
-           result.Dda_engine.Batch.retried nquarantined;
-       print_stats result.Dda_engine.Batch.merged;
-       Option.iter
-         (fun (gcd, full) ->
-            let line name (st : Memo_table.stats) =
-              Format.printf
-                "table (%s):  %d entries in %d buckets, %d/%d hits (%.1f%%)@."
-                name st.Memo_table.size st.Memo_table.buckets
-                st.Memo_table.hits st.Memo_table.lookups
-                (if st.Memo_table.lookups = 0 then 0.
-                 else
-                   100. *. float_of_int st.Memo_table.hits
-                   /. float_of_int st.Memo_table.lookups)
-            in
-            line "gcd" gcd;
-            line "full" full)
-         result.Dda_engine.Batch.table_stats
-     | `Json ->
-       let programs =
-         List.map
-           (function
-             | `Ok (a : Dda_engine.Batch.analyzed) ->
-               Json_out.Obj
-                 ([ ("file", Json_out.Str a.name); ("report", Json_out.report a.report) ]
-                  @ (match a.verification with
-                     | Some s ->
-                       [ ("verification", Dda_check.Verify.to_json ~file:a.name s) ]
-                     | None -> [])
-                  @
-                  match a.lint with
-                  | Some l ->
-                    [ ("lint", Dda_analysis.Lint.to_json ~file:a.name l) ]
-                  | None -> [])
-             | `Q (q : Dda_engine.Batch.quarantined) ->
-               Json_out.Obj
-                 [
-                   ("file", Json_out.Str q.q_name);
-                   ("quarantined", Json_out.Bool true);
-                   ("attempts", Json_out.Int q.q_attempts);
-                   ("error", Json_out.Str q.q_error);
-                 ])
-           entries
-       in
-       Format.printf "%a@." Json_out.pp
-         (Json_out.Obj
-            ([
-              ("programs", Json_out.List programs);
-              ("merged_stats", Json_out.stats result.Dda_engine.Batch.merged);
-            ]
-            @ (match result.Dda_engine.Batch.table_stats with
-               | None -> []
-               | Some (gcd, full) ->
-                 let table (st : Memo_table.stats) =
-                   Json_out.Obj
-                     [
-                       ("entries", Json_out.Int st.Memo_table.size);
-                       ("buckets", Json_out.Int st.Memo_table.buckets);
-                       ("lookups", Json_out.Int st.Memo_table.lookups);
-                       ("hits", Json_out.Int st.Memo_table.hits);
-                     ]
-                 in
-                 [
-                   ( "memo_tables",
-                     Json_out.Obj [ ("gcd", table gcd); ("full", table full) ] );
-                 ])
-            (* Jobs-invariant registry (failpoint counters left out), so
-               embedding it keeps the JSON byte-identical across --jobs
-               values. *)
-            @ [ ("metrics", Json_out.metrics (Dda_engine.Batch.metrics ())) ]
-            @
-            if result.Dda_engine.Batch.retried = 0 && nquarantined = 0 then []
-            else
-              [
-                ( "engine",
-                  Json_out.Obj
-                    [
-                      ("retried", Json_out.Int result.Dda_engine.Batch.retried);
-                      ("quarantined", Json_out.Int nquarantined);
-                    ] );
-              ])));
-    if nquarantined > 0 then exit 3
-    else if
-      List.exists
-        (fun (a : Dda_engine.Batch.analyzed) ->
-           (match a.verification with
-            | Some s -> s.Dda_check.Verify.errors > 0
-            | None -> false)
-           ||
-           match a.lint with
-           | Some l -> l.Dda_analysis.Lint.errors > 0
-           | None -> false)
-        result.Dda_engine.Batch.items
-    then exit 2
-    end
+    if summary.quarantined > 0 then exit 3
+    else if summary.verify_errors > 0 then exit 2
   in
   let files_arg =
     Arg.(
       value & pos_all string []
       & info [] ~docv:"FILES"
           ~doc:
-            "Source files to analyze (in streaming mode, directories are \
-             expanded to their $(b,*.dd) files).")
+            "Source files to analyze ($(b,-) reads one from stdin); \
+             directories are expanded to their $(b,*.dd) files.")
   in
   let jobs_arg =
     Arg.(
@@ -815,11 +736,13 @@ let batch_cmd =
       value & flag
       & info [ "stream" ]
           ~doc:
-            "Stream the corpus instead of materializing it: items are read \
-             (or generated), analyzed and printed with bounded memory — at \
-             most about twice $(b,--jobs) items in flight. Implied by \
-             $(b,--journal), $(b,--resume), $(b,--fuzz), $(b,--perfect) and \
-             $(b,--amplify).")
+            "Stream the output: each item is printed as soon as it and every \
+             earlier item are done, and nothing is kept, so memory stays \
+             bounded — at most about twice $(b,--jobs) items in flight. JSON \
+             becomes one compact object per program and a summary line, \
+             without the metrics registry; text leaves out the \
+             $(b,--share-memo) table lines. Implied by $(b,--journal), \
+             $(b,--resume), $(b,--fuzz), $(b,--perfect) and $(b,--amplify).")
   in
   let journal_arg =
     Arg.(
@@ -896,12 +819,13 @@ let batch_cmd =
          "Analyze a corpus of programs concurrently on a pool of domains; \
           per-program reports come back in input order with merged corpus \
           statistics, and the default mode is byte-identical for every \
-          $(b,--jobs) value. An item whose worker crashes is retried and \
-          then quarantined — the rest of the corpus still completes; exits \
-          3 when anything was quarantined. With $(b,--stream) (or any of \
-          the flags that imply it) the corpus is pulled item by item in \
-          bounded memory, optionally journaled ($(b,--journal)) and \
-          resumed ($(b,--resume)) after a crash.")
+          $(b,--jobs) value. The corpus is pulled item by item. An item \
+          whose worker crashes is retried and then quarantined, and one \
+          that does not parse is quarantined at once — the rest of the \
+          corpus still completes; exits 3 when anything was quarantined. \
+          With $(b,--stream) (or any of the flags that imply it) results \
+          are printed as they complete, optionally journaled \
+          ($(b,--journal)) and resumed ($(b,--resume)) after a crash.")
     Term.(
       const run $ obs_term $ files_arg $ jobs_arg $ share_memo_arg
       $ verify_arg $ lint_arg $ retries_arg
@@ -1187,7 +1111,8 @@ let cc_cmd =
       Dda_analysis.Summary.doall_loops res.Dda_analysis.Lint.summary
     in
     match
-      Dda_codegen.C_emit.emit ~parallel res.Dda_analysis.Lint.prepared
+      Dda_codegen.C_emit.emit ~parallel
+        res.Dda_analysis.Lint.prepared.Analyzer.program
     with
     | Ok src -> print_string src
     | Error reason ->
@@ -1378,7 +1303,7 @@ let lint_cmd =
     if differential then begin
       match
         Dda_analysis.Pardiff.check
-          ~prepared:res.Dda_analysis.Lint.prepared
+          ~prepared:res.Dda_analysis.Lint.prepared.Analyzer.program
           res.Dda_analysis.Lint.summary
       with
       | Ok n ->

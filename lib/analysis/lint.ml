@@ -4,8 +4,7 @@ open Dda_check
 module Metrics = Dda_obs.Metrics
 
 type result = {
-  prepared : Ast.program;
-  sites : Affine.site list;
+  prepared : Analyzer.prepared;
   report : Analyzer.report;
   summary : Summary.t;
   findings : Verify.diagnostic list;
@@ -146,8 +145,7 @@ let of_report ?(config = Analyzer.default_config) ?cancel
   let warnings = List.length findings - errors in
   record_metrics summary ~errors ~warnings;
   {
-    prepared = p.program;
-    sites = p.sites;
+    prepared = p;
     report;
     summary;
     findings;

@@ -23,8 +23,9 @@ open Dda_core
 open Dda_check
 
 type result = {
-  prepared : Ast.program;  (** the program the summary's loops refer to *)
-  sites : Affine.site list;
+  prepared : Analyzer.prepared;
+      (** the program the summary's loops refer to, with its sites and
+          pairs *)
   report : Analyzer.report;
   summary : Summary.t;
   findings : Verify.diagnostic list;  (** loop order *)

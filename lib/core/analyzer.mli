@@ -230,10 +230,6 @@ val shared_table_stats : shared -> Memo_table.stats * Memo_table.stats
     and all hit totals depend on cross-domain timing and are only
     deterministic at [--jobs 1]. *)
 
-val shared_contended : shared -> int
-(** Total stripe-lock acquisitions (both tables) that had to block —
-    the live-sharing cost signal ([memo.stripe.contended]). *)
-
 val memo_format_version : int
 (** Version of the marshaled memo key/value representation. Durable
     cache backends include it in their header fingerprint: a cache

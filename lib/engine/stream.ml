@@ -127,16 +127,29 @@ type summary = {
   verify_errors : int;
   interrupted : bool;
   merged : Analyzer.stats;
+  memo_tables : (Memo_table.stats * Memo_table.stats) option;
 }
 
-(* Same counter names as the in-memory engine: items, retries and
-   quarantines are per-corpus-item events either way, so the two
-   drivers are indistinguishable to the metrics registry. *)
+(* Items, retries and quarantines are per-corpus-item events: the
+   counters come out the same whatever the worker count. *)
 let m_items = Dda_obs.Metrics.counter "batch.items"
 let m_retries = Dda_obs.Metrics.counter "batch.retries"
 let m_quarantined = Dda_obs.Metrics.counter "batch.quarantined"
 let m_appends = Dda_obs.Metrics.counter "stream.journal.appends"
 let m_replayed = Dda_obs.Metrics.counter "stream.replayed"
+
+(* The registry a batch report embeds. Every counter and histogram is
+   a pure function of the per-item work, except the failpoint counters:
+   a site such as [pool.job] is hit once per pool task. *)
+let metrics () =
+  let snap = Dda_obs.Metrics.snapshot () in
+  {
+    snap with
+    Dda_obs.Metrics.counters =
+      List.filter
+        (fun (name, _) -> not (String.starts_with ~prefix:"failpoint." name))
+        snap.Dda_obs.Metrics.counters;
+  }
 
 exception Parse_error of string
 
@@ -164,12 +177,16 @@ let parse name text =
 
 let md5_hex s = Digest.to_hex (Digest.string s)
 
-(* One item, with the in-memory engine's fault isolation — except that
-   a parse or lexical error quarantines immediately: the input is
-   static, retrying cannot change the answer. Returns the source-text
-   digest alongside the outcome, which becomes the journal's corpus
-   key: "" when the text was never obtained, or when there is no
-   journal ([keyed] false) to keep it. *)
+(* One item, with fault isolation: an exception (a worker bug, an
+   injected failure, an unreadable file) is retried with jittered
+   exponential backoff ({!Retry}), then the item is quarantined —
+   except that a parse or lexical error quarantines at once: the input
+   is static, retrying cannot change the answer. The watchdog deadline
+   is cooperative — the budget polls [cancel] and degrades the verdict
+   — so a stuck item comes back conservative rather than killed.
+   Returns the source-text digest alongside the outcome, which becomes
+   the journal's corpus key: "" when the text was never obtained, or
+   when there is no journal ([keyed] false) to keep it. *)
 let process ~config ~cache ~verify ~lint ~retries ~backoff_ms ~item_timeout_ms
     ~keyed ~idx it =
   Dda_obs.Metrics.incr m_items;
@@ -478,10 +495,8 @@ let run ?(config = Analyzer.default_config) ?(share_memo = false)
   (* The live-shared tables are bounded by the corpus's distinct
      problems, not its length: the one piece of state that deliberately
      outlives the sliding window. *)
-  let cache =
-    if share_memo then Some (Analyzer.shared_cache (Analyzer.create_shared ()))
-    else None
-  in
+  let shared = if share_memo then Some (Analyzer.create_shared ()) else None in
+  let cache = Option.map Analyzer.shared_cache shared in
   let nreplay =
     match journal with
     | Some path when resume ->
@@ -667,4 +682,5 @@ let run ?(config = Analyzer.default_config) ?(share_memo = false)
     verify_errors = !verify_errors;
     interrupted = !interrupted;
     merged;
+    memo_tables = Option.map Analyzer.shared_table_stats shared;
   }

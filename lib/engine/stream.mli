@@ -1,25 +1,31 @@
-(** The streaming batch driver: bounded-memory analysis of corpora too
-    large (or too synthetic) to hold in memory, with a write-ahead
-    journal for crash/resume.
+(** The batch driver: analyze a corpus on a {!Pool} of domains in
+    bounded memory, merge the per-program statistics into corpus
+    totals, and optionally keep a write-ahead journal for
+    crash/resume.
 
-    Where {!Batch} materializes the whole corpus up front, a stream
-    {e pulls} items one at a time from a {!source} — files, whole
+    A run {e pulls} items one at a time from a {!source} — files, whole
     directories, amplified {!Dda_perfect.Programs} suites, or the
     {!Dda_perfect.Fuzz} generator — lexes and parses each on a worker
-    domain, and emits its rendered result as soon as every earlier
-    item's result has been emitted. At most [2 * jobs] items are in
-    flight, so peak memory is a function of [jobs] and the largest
-    single item, never of corpus length. At [jobs = 1] there is no
-    worker domain: each item is analyzed on the calling domain when
-    its turn to be emitted comes ({!Pool}'s zero-worker mode).
+    domain, and hands its result to the caller's renderer as soon as
+    every earlier item's result has been emitted. At most [2 * jobs]
+    items are in flight, so the driver's own memory is a function of
+    [jobs] and the largest single item, never of corpus length; a
+    caller that needs the whole corpus at once (a pretty-printed JSON
+    document) collects the outcomes in its renderer. At [jobs = 1]
+    there is no worker domain: each item is analyzed on the calling
+    domain when its turn to be emitted comes ({!Pool}'s zero-worker
+    mode).
 
-    {b Determinism.} By default items are analyzed independently,
-    results are emitted in input order, and the per-item counters are
-    per-corpus-item events, so output and metrics are byte-identical
-    whatever [jobs] is, exactly as in {!Batch}'s default mode. With
-    [share_memo] every worker queries one live-shared lock-striped
-    table pair ({!Analyzer.shared}) for the whole run: verdicts and
-    direction vectors are unchanged at any [jobs], but per-item
+    {b Determinism.} By default every program is analyzed
+    independently (its own memo tables, exactly the sequential
+    {!Analyzer.analyze} path), results are emitted in input order, and
+    the per-item counters are per-corpus-item events, so output,
+    merged statistics and {!metrics} are byte-identical whatever
+    [jobs] is. With [share_memo] every worker queries one live-shared
+    lock-striped table pair ({!Analyzer.shared}) for the whole run:
+    verdicts and direction vectors are unchanged at any [jobs] —
+    memoization never alters answers, and the shared tables end up
+    holding the same key set as at [jobs = 1] — but per-item
     memo-{e hit} counts (and so the JSON renderings and the summary's
     hit totals) depend on cross-domain timing at [jobs > 1], and a
     resumed run re-analyzes its remaining items against a table that
@@ -49,12 +55,16 @@
     with [Failure], never silently repaired: mid-file damage means the
     file is not the journal this corpus wrote.
 
-    {b Fault isolation} matches {!Batch}: a failing item is retried
-    with exponential backoff and then quarantined while the stream
-    keeps going. Parse and lexical errors quarantine immediately (the
-    input is static; retrying cannot help) — unlike the in-memory
-    driver's front end, a malformed corpus item does not abort the
-    run. *)
+    {b Fault isolation.} A worker exception on one item — an analyzer
+    bug, an injected {!Dda_core.Failpoint} failure, an unreadable file
+    — never aborts the run: the item is retried with exponential
+    backoff and then {e quarantined}, its error recorded in its
+    outcome, while every other item completes normally. Parse and
+    lexical errors quarantine immediately (the input is static;
+    retrying cannot help). A per-item watchdog arms the budget's
+    cooperative deadline, so a stuck item returns a degraded
+    conservative report instead of hanging the run. Merged statistics
+    cover successfully analyzed items only. *)
 
 open Dda_core
 
@@ -124,7 +134,19 @@ type summary = {
       (** [stop] ended the run before the source was exhausted;
           everything already in flight was finished and journaled *)
   merged : Analyzer.stats;  (** totals over successful items *)
+  memo_tables : (Memo_table.stats * Memo_table.stats) option;
+      (** with [share_memo]: [(gcd, full)] {!Dda_core.Memo_table.stats}
+          of the live-shared tables at the end of the run, aggregated
+          over stripes; [None] otherwise. A resumed run's tables never
+          saw the replayed items. *)
 }
+
+val metrics : unit -> Dda_obs.Metrics.snapshot
+(** The {!Dda_obs.Metrics} registry without its [failpoint.*] counters:
+    what [ddtest batch --format json] embeds. Every remaining counter
+    and histogram is a pure function of the per-item work, so the
+    snapshot after a run is the same at any [jobs]; a failpoint such as
+    [pool.job] is hit once per pool task, so its count need not be. *)
 
 val run :
   ?config:Analyzer.config ->
@@ -147,9 +169,19 @@ val run :
     rendering on the calling one). [render] turns
     each result into the output chunk that is journaled and emitted;
     [emit] receives the chunks in input order (replayed chunks come
-    from the journal, not from [render]). The per-item knobs
-    ([retries], [backoff_ms], [item_timeout_ms], [verify], [lint])
-    mean exactly what they do in {!Batch.run}.
+    from the journal, not from [render]).
+
+    [verify] (default [false]) certificate-checks each program's
+    report on its analysis domain and fills [verification]. [lint]
+    (default [false]) classifies each program's dependences and
+    summarizes loop parallelizability there too, filling [lint]; the
+    [lint.*] metrics counters stay jobs-invariant because each item is
+    linted exactly once. [retries] (default [1]) is how many times a
+    failed item is retried before quarantine; [backoff_ms] (default
+    [50]) the first retry's delay, doubled each further retry.
+    [item_timeout_ms] (default none) arms each attempt's cooperative
+    deadline: analysis past it degrades to a flagged conservative
+    verdict rather than being killed.
 
     [journal] names the write-ahead journal; without [resume] it is
     truncated and started fresh. [resume] (default [false]) requires
@@ -162,8 +194,8 @@ val run :
     [interrupted = true] — the SIGINT path of [ddtest batch --stream],
     which leaves a journal a later [resume] continues from.
 
-    @raise Invalid_argument on bad knob values, or [resume] without
-    [journal].
+    @raise Invalid_argument when [jobs < 1], [retries < 0] or
+    [backoff_ms < 0], or on [resume] without [journal].
     @raise Failure when resuming from an invalid or mismatched
     journal, or when the journal file cannot be written.
     @raise Dda_core.Failpoint.Injected from the [stream.journal]

@@ -351,45 +351,35 @@ let test_carried_cache_unions () =
     r.Analyzer.stats.Analyzer.memo_hits_full
 
 (* ------------------------------------------------------------------ *)
-(* Batch driver                                                        *)
+(* The batch driver                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let test_chunks () =
-  Alcotest.(check (list (pair int int))) "even split" [ (0, 2); (2, 4) ]
-    (Batch.chunks ~jobs:2 4);
-  Alcotest.(check (list (pair int int))) "uneven split" [ (0, 2); (2, 4); (4, 7) ]
-    (Batch.chunks ~jobs:3 7);
-  Alcotest.(check (list (pair int int))) "more jobs than items"
-    [ (0, 0); (0, 1); (1, 1); (1, 2) ]
-    (Batch.chunks ~jobs:4 2);
-  Alcotest.(check (list (pair int int))) "empty corpus" [ (0, 0) ]
-    (Batch.chunks ~jobs:1 0)
-
-let corpus_of_programs programs =
-  List.mapi
-    (fun i prog -> { Batch.name = Printf.sprintf "p%d" i; program = prog })
-    programs
+let corpus_of_programs = Test_support.Collect.of_programs
+let run = Test_support.Collect.run
 
 (* Render everything a batch run reports — per-item verdicts, direction
    vectors, distances and merged statistics — to one canonical string. *)
-let fingerprint (r : Batch.result) =
+let fingerprint reports merged =
   String.concat "\n"
     (List.map
-       (fun (a : Batch.analyzed) ->
-          a.Batch.name ^ " " ^ Json_out.to_string (Json_out.report a.Batch.report))
-       r.Batch.items)
-  ^ "\n" ^ Json_out.to_string (Json_out.stats r.Batch.merged)
+       (fun (name, report) ->
+          name ^ " " ^ Json_out.to_string (Json_out.report report))
+       reports)
+  ^ "\n" ^ Json_out.to_string (Json_out.stats merged)
 
 let test_batch_empty_and_small () =
-  let r = Batch.run ~jobs:4 [] in
-  Alcotest.(check int) "empty corpus" 0 (List.length r.Batch.items);
-  Alcotest.(check int) "no pairs" 0 r.Batch.merged.Analyzer.pairs;
-  let one = corpus_of_programs [ parse "for i = 1 to 9 do\n  a[i + 1] = a[i] + 1\nend" ] in
-  let r = Batch.run ~jobs:8 one in
-  Alcotest.(check int) "one item, more jobs than items" 1 (List.length r.Batch.items);
+  let summary, outcomes = run ~jobs:4 [] in
+  Alcotest.(check int) "empty corpus" 0 (List.length outcomes);
+  Alcotest.(check int) "no pairs" 0 summary.Stream.merged.Analyzer.pairs;
+  let one =
+    corpus_of_programs [ parse "for i = 1 to 9 do\n  a[i + 1] = a[i] + 1\nend" ]
+  in
+  let _, outcomes = run ~jobs:8 one in
+  Alcotest.(check int) "one item, more jobs than items" 1
+    (List.length (Test_support.Collect.reports outcomes));
   Alcotest.check_raises "jobs must be positive"
-    (Invalid_argument "Batch.run: jobs must be >= 1") (fun () ->
-      ignore (Batch.run ~jobs:0 one))
+    (Invalid_argument "Stream.run: jobs must be >= 1") (fun () ->
+      ignore (run ~jobs:0 one))
 
 let arb_corpus =
   QCheck.make
@@ -407,57 +397,48 @@ let prop_batch_deterministic =
     (fun programs ->
        let corpus = corpus_of_programs programs in
        let sequential =
-         (* The sequential path, no pool involved. *)
-         let items =
-           List.mapi
-             (fun i (it : Batch.item) ->
-                {
-                  Batch.index = i;
-                  name = it.Batch.name;
-                  report = Analyzer.analyze it.Batch.program;
-                  verification = None;
-                  lint = None;
-                  attempts = 1;
-                })
+         (* The sequential path, no driver involved. *)
+         let reports =
+           List.map
+             (fun (name, text) -> (name, Analyzer.analyze (parse text)))
              corpus
          in
          let merged = Analyzer.fresh_stats () in
          List.iter
-           (fun (a : Batch.analyzed) ->
-              Analyzer.merge_stats ~into:merged a.Batch.report.Analyzer.stats)
-           items;
-         fingerprint
-           {
-             Batch.items;
-             quarantined = [];
-             retried = 0;
-             merged;
-             table_stats = None;
-             contended = None;
-           }
+           (fun (_, r) -> Analyzer.merge_stats ~into:merged r.Analyzer.stats)
+           reports;
+         fingerprint reports merged
        in
        List.for_all
-         (fun jobs -> fingerprint (Batch.run ~jobs corpus) = sequential)
+         (fun jobs ->
+            let summary, outcomes = run ~jobs corpus in
+            fingerprint (Test_support.Collect.reports outcomes)
+              summary.Stream.merged
+            = sequential)
          [ 1; 2; 4 ])
 
 let prop_batch_share_memo_verdicts =
-  (* Shared-session mode may change memo counters but never verdicts,
+  (* Shared-memo mode may change memo counters but never verdicts,
      direction vectors or distances. *)
   QCheck.Test.make ~name:"shared-memo batch preserves all verdicts" ~count:15
     arb_corpus
     (fun programs ->
        let corpus = corpus_of_programs programs in
-       let pairs_only (r : Batch.result) =
+       let pairs_only (_, outcomes) =
          List.map
-           (fun (a : Batch.analyzed) ->
-              List.map Json_out.pair a.Batch.report.Analyzer.pair_reports)
-           r.Batch.items
+           (fun (_, r) -> List.map Json_out.pair r.Analyzer.pair_reports)
+           (Test_support.Collect.reports outcomes)
        in
-       let isolated = pairs_only (Batch.run ~jobs:1 corpus) in
+       let isolated = pairs_only (run ~jobs:1 corpus) in
        List.for_all
-         (fun jobs ->
-            pairs_only (Batch.run ~share_memo:true ~jobs corpus) = isolated)
+         (fun jobs -> pairs_only (run ~share_memo:true ~jobs corpus) = isolated)
          [ 1; 3 ])
+
+(* The live-shared tables' distinct-problem counts, (gcd, full). *)
+let uniques (summary : Stream.summary) =
+  match summary.Stream.memo_tables with
+  | Some (gcd, full) -> (gcd.Memo_table.size, full.Memo_table.size)
+  | None -> Alcotest.fail "share_memo run without memo_tables"
 
 let prop_batch_live_jobs_invariant =
   (* The live-sharing oracle: at 2 and 4 jobs the shared tables are
@@ -469,66 +450,66 @@ let prop_batch_live_jobs_invariant =
     ~count:15 arb_corpus
     (fun programs ->
        let corpus = corpus_of_programs programs in
-       let reports_bytes (r : Batch.result) =
+       let reports_bytes outcomes =
          String.concat "\n"
            (List.map
-              (fun (a : Batch.analyzed) ->
-                 a.Batch.name ^ " "
+              (fun (name, r) ->
+                 name ^ " "
                  ^ String.concat ";"
                      (List.map
                         (fun p -> Json_out.to_string (Json_out.pair p))
-                        a.Batch.report.Analyzer.pair_reports))
-              r.Batch.items)
+                        r.Analyzer.pair_reports))
+              (Test_support.Collect.reports outcomes))
        in
-       let uniques (r : Batch.result) =
-         ( r.Batch.merged.Analyzer.memo_unique_nobounds,
-           r.Batch.merged.Analyzer.memo_unique_full )
-       in
-       let solo = Batch.run ~share_memo:true ~jobs:1 corpus in
+       let solo, solo_outcomes = run ~share_memo:true ~jobs:1 corpus in
        List.for_all
          (fun jobs ->
-            let live = Batch.run ~share_memo:true ~jobs corpus in
-            reports_bytes live = reports_bytes solo && uniques live = uniques solo)
+            let live, outcomes = run ~share_memo:true ~jobs corpus in
+            reports_bytes outcomes = reports_bytes solo_outcomes
+            && uniques live = uniques solo)
          [ 2; 4 ])
 
 let test_batch_share_memo_unique_counts () =
-  (* Two copies of the same program: whatever the chunking, the union
-     of the per-domain tables holds each distinct problem once, and the
-     merged unique counts must not double-count. *)
+  (* Two copies of the same program: whichever domain analyzes each
+     copy, the shared tables hold each distinct problem once. *)
   let prog = parse "for i = 1 to 10 do\n  a[i + 2] = a[i] + 1\nend" in
   let corpus = corpus_of_programs [ prog; prog ] in
-  let solo = Batch.run ~share_memo:true ~jobs:1 (corpus_of_programs [ prog ]) in
-  let r1 = Batch.run ~share_memo:true ~jobs:1 corpus in
-  let r2 = Batch.run ~share_memo:true ~jobs:2 corpus in
+  let solo, _ = run ~share_memo:true ~jobs:1 (corpus_of_programs [ prog ]) in
+  let r1, _ = run ~share_memo:true ~jobs:1 corpus in
+  let r2, _ = run ~share_memo:true ~jobs:2 corpus in
   Alcotest.(check int) "jobs=1: second copy adds no unique problems"
-    solo.Batch.merged.Analyzer.memo_unique_full
-    r1.Batch.merged.Analyzer.memo_unique_full;
-  Alcotest.(check int) "jobs=2: union across domains deduplicates"
-    solo.Batch.merged.Analyzer.memo_unique_full
-    r2.Batch.merged.Analyzer.memo_unique_full
+    (snd (uniques solo)) (snd (uniques r1));
+  Alcotest.(check int) "jobs=2: domains share one table"
+    (snd (uniques solo)) (snd (uniques r2));
+  Alcotest.(check int) "jobs=1: summed per-item misses agree"
+    (snd (uniques solo)) r1.Stream.merged.Analyzer.memo_unique_full
 
-(* At [--jobs 1] both drivers run their pool without a worker domain;
-   a failure of the pool job itself (outside per-item isolation) must
-   still quarantine, with attempts 0, exactly as on a worker. *)
+(* At [--jobs 1] the pool runs without a worker domain; a failure of
+   the pool job itself (outside per-item isolation) must still
+   quarantine, with attempts 0, exactly as on a worker. *)
 let with_failpoint spec f =
   Failpoint.set spec;
   Fun.protect ~finally:Failpoint.clear f
 
 let test_batch_jobs1_pool_job_failure () =
+  (* The in-memory sink [ddtest batch] collects outcomes with. *)
   let corpus =
-    corpus_of_programs
-      [
-        parse "for i = 1 to 9 do\n  a[i + 1] = a[i] + 1\nend";
-        parse "for i = 1 to 9 do\n  b[2 * i] = b[2 * i + 1]\nend";
-      ]
+    [
+      ("p0", "for i = 1 to 9 do\n  a[i + 1] = a[i] + 1\nend");
+      ("p1", "for i = 1 to 9 do\n  b[2 * i] = b[2 * i + 1]\nend");
+    ]
   in
-  let r = with_failpoint "pool.job=raise@1" (fun () -> Batch.run ~jobs:1 corpus) in
-  Alcotest.(check int) "no item analyzed" 0 (List.length r.Batch.items);
-  Alcotest.(check (list (pair int int)))
-    "the whole chunk quarantined, attempts 0" [ (0, 0); (1, 0) ]
+  let summary, outcomes =
+    with_failpoint "pool.job=raise@1-2" (fun () -> run ~jobs:1 corpus)
+  in
+  Alcotest.(check int) "both quarantined" 2 summary.Stream.quarantined;
+  Alcotest.(check (list (pair string int)))
+    "every item quarantined, attempts 0" [ ("p0", 0); ("p1", 0) ]
     (List.map
-       (fun (q : Batch.quarantined) -> (q.Batch.q_index, q.Batch.q_attempts))
-       r.Batch.quarantined)
+       (function
+         | Stream.Quarantined q -> (q.name, q.attempts)
+         | Stream.Analyzed a -> (a.name, -1))
+       outcomes)
 
 let test_stream_jobs1_pool_job_failure () =
   let outcomes = ref [] in
@@ -591,7 +572,6 @@ let () =
         ] );
       ( "batch",
         [
-          Alcotest.test_case "chunks" `Quick test_chunks;
           Alcotest.test_case "empty and small corpora" `Quick
             test_batch_empty_and_small;
           Alcotest.test_case "shared-memo unique counts" `Quick

@@ -74,7 +74,7 @@ let check_kernel config_name config (k : Kernels.kernel) () =
 let check_lint_doall config_name config (k : Kernels.kernel) () =
   let prog = Parser.parse_program k.source in
   let res = Dda_analysis.Lint.run ~config prog in
-  let names = loop_names res.Dda_analysis.Lint.sites in
+  let names = loop_names res.Dda_analysis.Lint.prepared.Analyzer.sites in
   let doall =
     List.filter_map
       (fun (lid, is_doall) ->

@@ -34,7 +34,10 @@ let prop_doall_differential =
     arb_fuzzed
     (fun input ->
        let res = lint_of input in
-       match Pardiff.check ~prepared:res.Lint.prepared res.Lint.summary with
+       match
+         Pardiff.check ~prepared:res.Lint.prepared.Analyzer.program
+           res.Lint.summary
+       with
        | Ok _ -> true
        | Error msg -> QCheck.Test.fail_reportf "differential failure: %s" msg)
 

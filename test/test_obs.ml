@@ -223,13 +223,8 @@ let test_chrome_export_well_formed () =
     (Hashtbl.length last_ts >= 2)
 
 (* ------------------------------------------------------------------ *)
-(* Batch metrics are jobs-invariant                                    *)
+(* The batch driver's metrics are jobs-invariant                       *)
 (* ------------------------------------------------------------------ *)
-
-let corpus_of_programs programs =
-  List.mapi
-    (fun i program -> { Batch.name = Printf.sprintf "p%d" i; program })
-    programs
 
 let arb_corpus =
   QCheck.make
@@ -240,7 +235,7 @@ let arb_corpus =
 
 let prop_batch_metrics_jobs_invariant =
   (* Every counter and histogram the batch embeds in its JSON output
-     ({!Batch.metrics}: the registry less its failpoint counters) must
+     ({!Stream.metrics}: the registry less its failpoint counters) must
      be a pure function of the per-item analysis work — running the
      same corpus on one worker or several yields the identical merged
      registry (the design rule that keeps batch output byte-identical
@@ -248,11 +243,11 @@ let prop_batch_metrics_jobs_invariant =
   QCheck.Test.make ~name:"batch metrics invariant under the job count"
     ~count:10 arb_corpus
     (fun programs ->
-       let corpus = corpus_of_programs programs in
+       let corpus = Test_support.Collect.of_programs programs in
        let registry_of jobs =
          Metrics.reset ();
-         ignore (Batch.run ~jobs corpus);
-         Metrics.to_json_string (Batch.metrics ())
+         ignore (Test_support.Collect.run ~jobs corpus);
+         Metrics.to_json_string (Stream.metrics ())
        in
        let solo = registry_of 1 in
        List.for_all (fun jobs -> registry_of jobs = solo) [ 2; 3 ])

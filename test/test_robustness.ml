@@ -224,46 +224,45 @@ let test_deadline_degrades () =
     report.Analyzer.pair_reports
 
 (* ------------------------------------------------------------------ *)
-(* Batch fault isolation                                               *)
+(* The batch driver's fault isolation                                 *)
 (* ------------------------------------------------------------------ *)
 
-let corpus () =
-  List.map
-    (fun (name, src) -> { Batch.name; program = parse src })
-    [
-      ("one.dd", "for i = 1 to 10 do\n  a[i + 1] = a[i] + 1\nend");
-      ("two.dd", "for i = 1 to 10 do\n  b[2 * i] = b[i] + 1\nend");
-      ("three.dd", "for i = 1 to 10 do\n  c[i] = c[i + 10] + 1\nend");
-    ]
+let corpus =
+  [
+    ("one.dd", "for i = 1 to 10 do\n  a[i + 1] = a[i] + 1\nend");
+    ("two.dd", "for i = 1 to 10 do\n  b[2 * i] = b[i] + 1\nend");
+    ("three.dd", "for i = 1 to 10 do\n  c[i] = c[i + 10] + 1\nend");
+  ]
+
+let analyzed outcomes =
+  List.filter_map
+    (function Stream.Analyzed a -> Some (a.name, a.attempts) | _ -> None)
+    outcomes
 
 let test_batch_retry_recovers () =
   with_failpoints "batch.item=raise@1" (fun () ->
-      let r = Batch.run ~retries:1 ~backoff_ms:0 ~jobs:1 (corpus ()) in
-      Alcotest.(check int) "all items analyzed" 3 (List.length r.Batch.items);
-      Alcotest.(check int) "nothing quarantined" 0
-        (List.length r.Batch.quarantined);
-      Alcotest.(check int) "one retry" 1 r.Batch.retried;
-      match r.Batch.items with
-      | first :: rest ->
-        Alcotest.(check int) "first item took two attempts" 2
-          first.Batch.attempts;
-        List.iter
-          (fun (a : Batch.analyzed) ->
-             Alcotest.(check int) "others clean" 1 a.Batch.attempts)
-          rest
-      | [] -> Alcotest.fail "empty result")
+      let summary, outcomes =
+        Collect.run ~retries:1 ~backoff_ms:0 ~jobs:1 corpus
+      in
+      Alcotest.(check int) "nothing quarantined" 0 summary.Stream.quarantined;
+      Alcotest.(check int) "one retry" 1 summary.Stream.retried;
+      Alcotest.(check (list (pair string int)))
+        "all items analyzed; the first took two attempts"
+        [ ("one.dd", 2); ("two.dd", 1); ("three.dd", 1) ]
+        (analyzed outcomes))
 
 let test_batch_quarantine () =
   (* The first item fails on every attempt; the rest of the corpus
      still completes, in order, with the failure recorded. *)
   with_failpoints "batch.item=raise@1-2" (fun () ->
-      let r = Batch.run ~retries:1 ~backoff_ms:0 ~jobs:1 (corpus ()) in
-      Alcotest.(check int) "two items analyzed" 2 (List.length r.Batch.items);
-      (match r.Batch.quarantined with
-       | [ q ] ->
-         Alcotest.(check string) "the failing item" "one.dd" q.Batch.q_name;
-         Alcotest.(check int) "its index" 0 q.Batch.q_index;
-         Alcotest.(check int) "both attempts used" 2 q.Batch.q_attempts;
+      let summary, outcomes =
+        Collect.run ~retries:1 ~backoff_ms:0 ~jobs:1 corpus
+      in
+      Alcotest.(check int) "one quarantined" 1 summary.Stream.quarantined;
+      (match outcomes with
+       | Stream.Quarantined q :: _ ->
+         Alcotest.(check string) "the failing item" "one.dd" q.name;
+         Alcotest.(check int) "both attempts used" 2 q.attempts;
          let contains hay needle =
            let nh = String.length hay and nn = String.length needle in
            let rec at i =
@@ -272,22 +271,22 @@ let test_batch_quarantine () =
            at 0
          in
          Alcotest.(check bool) "error names the failpoint" true
-           (contains q.Batch.q_error "batch.item")
-       | l -> Alcotest.failf "expected 1 quarantined, got %d" (List.length l));
+           (contains q.error "batch.item")
+       | _ -> Alcotest.fail "expected the first item quarantined");
       Alcotest.(check (list string)) "survivors in input order"
         [ "two.dd"; "three.dd" ]
-        (List.map (fun (a : Batch.analyzed) -> a.Batch.name) r.Batch.items);
+        (List.map fst (analyzed outcomes));
       (* Merged stats cover survivors only: pairs from 2 programs. *)
-      let solo = Batch.run ~jobs:1 (List.tl (corpus ())) in
+      let solo, _ = Collect.run ~jobs:1 (List.tl corpus) in
       Alcotest.(check int) "stats exclude the quarantined item"
-        solo.Batch.merged.Analyzer.pairs r.Batch.merged.Analyzer.pairs)
+        solo.Stream.merged.Analyzer.pairs summary.Stream.merged.Analyzer.pairs)
 
 let test_batch_timeout_degrades () =
   (* A 0ms deadline: items still come back (degraded where the cascade
      ran), nothing is quarantined, the batch terminates. *)
-  let r = Batch.run ~item_timeout_ms:0 ~jobs:2 (corpus ()) in
-  Alcotest.(check int) "all items analyzed" 3 (List.length r.Batch.items);
-  Alcotest.(check int) "nothing quarantined" 0 (List.length r.Batch.quarantined)
+  let summary, outcomes = Collect.run ~item_timeout_ms:0 ~jobs:2 corpus in
+  Alcotest.(check int) "all items analyzed" 3 (List.length (analyzed outcomes));
+  Alcotest.(check int) "nothing quarantined" 0 summary.Stream.quarantined
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in

@@ -1,7 +1,7 @@
 (* The streaming batch pipeline and its corpus fuzzer: fuzzed programs
    are always well-formed and deterministic in the seed; streaming a
-   corpus produces exactly the in-memory engine's reports and metric
-   deltas; a run killed at a random item and resumed from its journal
+   corpus produces exactly the sequential analyzer's reports and merged
+   statistics, with one item event per program; a run killed at a random item and resumed from its journal
    reproduces the uninterrupted run byte for byte; and the fuzzer's
    small profile survives the exhaustive-enumeration oracle. *)
 
@@ -60,15 +60,8 @@ let test_fuzz_seed_sensitivity () =
     (List.length distinct > List.length texts / 2)
 
 (* ------------------------------------------------------------------ *)
-(* Streamed == in-memory                                               *)
+(* Streamed == sequential                                              *)
 (* ------------------------------------------------------------------ *)
-
-(* The corpus both engines see: exactly what [Stream.of_fuzz] pulls,
-   materialized for the in-memory engine. *)
-let fuzz_names_and_texts ~seed n =
-  List.init n (fun index ->
-      ( Printf.sprintf "fuzz:small:%d:%d" seed index,
-        Fuzz.program Fuzz.Small ~seed ~index ))
 
 let counter_names = [ "batch.items"; "batch.retries"; "batch.quarantined" ]
 
@@ -81,22 +74,26 @@ let deltas before after =
 
 let prop_stream_matches_inmem =
   QCheck.Test.make
-    ~name:"streamed reports and metric deltas equal the in-memory engine's"
+    ~name:"streamed reports and metric deltas equal sequential analysis"
     ~count:20
     (QCheck.make
        ~print:(fun (s, n) -> Printf.sprintf "(seed=%d, n=%d)" s n)
        QCheck.Gen.(pair (int_bound 100_000) (1 -- 4)))
     (fun (seed, n) ->
-      let corpus = fuzz_names_and_texts ~seed n in
-      let items =
-        List.map
-          (fun (name, text) ->
-            { Batch.name; program = Parser.parse_program text })
-          corpus
+      (* The reference: [Analyzer.analyze] on each program of the
+         corpus [Stream.of_fuzz] pulls, in order. One item event per
+         program, no retry, no quarantine. *)
+      let reference =
+        List.init n (fun index ->
+            ( Printf.sprintf "fuzz:small:%d:%d" seed index,
+              Analyzer.analyze
+                (Parser.parse_program (Fuzz.program Fuzz.Small ~seed ~index)) ))
       in
+      let merged = Analyzer.fresh_stats () in
+      List.iter
+        (fun (_, r) -> Analyzer.merge_stats ~into:merged r.Analyzer.stats)
+        reference;
       let before = Dda_obs.Metrics.snapshot () in
-      let bres = Batch.run ~jobs:2 items in
-      let mid = Dda_obs.Metrics.snapshot () in
       let streamed = ref [] in
       let summary =
         Stream.run ~jobs:3
@@ -107,12 +104,10 @@ let prop_stream_matches_inmem =
           (Stream.of_fuzz ~profile:Fuzz.Small ~seed n)
       in
       let after = Dda_obs.Metrics.snapshot () in
-      if deltas before mid <> deltas mid after then
-        QCheck.Test.fail_reportf "metric deltas differ: inmem %s, stream %s"
-          (String.concat "," (List.map string_of_int (deltas before mid)))
-          (String.concat "," (List.map string_of_int (deltas mid after)));
-      if summary.Stream.quarantined > 0 || bres.Batch.quarantined <> [] then
-        QCheck.Test.fail_reportf "unexpected quarantine";
+      if deltas before after <> [ n; 0; 0 ] then
+        QCheck.Test.fail_reportf "metric deltas %s, expected %d,0,0"
+          (String.concat "," (List.map string_of_int (deltas before after)))
+          n;
       let stream_reports =
         List.rev_map
           (function
@@ -122,13 +117,8 @@ let prop_stream_matches_inmem =
                 q.error)
           !streamed
       in
-      let inmem_reports =
-        List.map
-          (fun (a : Batch.analyzed) -> (a.Batch.name, a.Batch.report))
-          bres.Batch.items
-      in
-      stream_reports = inmem_reports
-      && compare summary.Stream.merged bres.Batch.merged = 0)
+      stream_reports = reference
+      && compare summary.Stream.merged merged = 0)
 
 (* ------------------------------------------------------------------ *)
 (* Crash at item k, resume                                             *)
